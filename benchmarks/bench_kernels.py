@@ -7,7 +7,7 @@ propagation (``SymbolicPropagator.output_bounds_batch`` behind
 (``resize`` + ``Box.hull``). Each bench here runs the batched kernel
 and its scalar per-row equivalent over the same inputs, records both
 timings, and asserts bitwise-identical outputs — the contract the
-whole ``batch_cells`` mode rests on.
+lockstep driver rests on.
 
 Run with::
 

@@ -132,7 +132,7 @@ def main() -> None:
         RefinementPolicy,
         RunnerSettings,
         VerificationReport,
-        verify_cell,
+        verify_cells,
     )
 
     cells = grid_partition(region, [10, 5])
@@ -140,7 +140,10 @@ def main() -> None:
         reach=ReachSettings(substeps=4, max_symbolic_states=10),
         refinement=RefinementPolicy(dims=(0, 1), max_depth=2),
     )
-    results = [verify_cell(system, cell, 2, settings) for cell in cells]
+    # All 50 cells (and their refinement children) in lockstep waves.
+    results = verify_cells(
+        system, [(f"cell-{i}", cell, 2, {}) for i, cell in enumerate(cells)], settings
+    )
     report = VerificationReport(cells=results, system_name=system.name)
     directly = sum(1 for r in results if r.proved)
     print(f"partitioned into {len(cells)} cells of width 0.02: "

@@ -170,38 +170,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         recorder = Recorder()
         set_recorder(recorder)
 
-    batch_mode = getattr(args, "batch", "auto")
-    lockstep_ok = (
-        args.workers == 1
-        and args.cell_timeout is None
-        and args.deadline is None
-    )
-    batch_cells = batch_mode == "cells" or (batch_mode == "auto" and lockstep_ok)
-    batch_states = batch_mode == "states" or (
-        batch_mode == "auto" and not lockstep_ok
-    )
-
     # Settings validation lives in RunnerSettings.__post_init__ — one
     # authority for the CLI and programmatic callers alike. The CLI's
     # job is only to translate the failure into flag language.
     try:
         runner = RunnerSettings(
-            reach=ReachSettings(
-                substeps=args.substeps,
-                max_symbolic_states=args.gamma,
-                batch_states=batch_states,
-            ),
+            reach=ReachSettings(substeps=args.substeps, max_symbolic_states=args.gamma),
             refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=args.depth),
             workers=args.workers,
             cell_timeout=args.cell_timeout,
             deadline=args.deadline,
             max_retries=args.max_retries,
-            batch_cells=batch_cells,
         )
     except ValueError as error:
         print(
             f"error: {error} (check --workers, --cell-timeout, --deadline, "
-            "--max-retries, --batch)",
+            "--max-retries)",
             file=sys.stderr,
         )
         return 2
@@ -268,7 +252,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if interrupted:
         print(f"  INTERRUPTED ({interrupted}): partial report — "
               "finished cells only")
-    print(f"  wall time: {wall:.2f}s ({args.workers} workers)")
+    dist = report.settings_summary.get("distributed")
+    if dist:
+        pool = f"{dist['nodes']} nodes x {dist['workers_per_node']} workers"
+    else:
+        pool = f"{args.workers} workers"
+    print(f"  wall time: {wall:.2f}s ({pool})")
     if cell_hist is not None and cell_hist.count:
         print(
             f"  cell time: p50 {cell_hist.p50:.3f}s, p95 {cell_hist.p95:.3f}s, "
@@ -1003,29 +992,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--depth", type=int, default=2, help="split-refinement depth")
     p_verify.add_argument("--substeps", type=int, default=10, help="the paper's M")
     p_verify.add_argument("--gamma", type=int, default=5, help="the paper's Gamma")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1,
+        help="processes verifying chunks of cells in lockstep waves: each "
+        "chunk takes ceil(pending / N) cells, so 1 verifies the whole "
+        "partition as one chunk in this process",
+    )
     p_verify.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget; overruns quarantine as timed-out",
+        help="per-cell wall-clock budget; overruns quarantine as timed-out. "
+        "A budgeted campaign dispatches one cell per chunk",
     )
     p_verify.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="campaign wall-clock budget; stop dispatching once exceeded "
-        "and return a partial report",
+        "and return a partial report. A budgeted campaign dispatches one "
+        "cell per chunk",
     )
     p_verify.add_argument(
         "--max-retries", type=int, default=1,
         help="retries for a cell whose worker crashed before it is "
         "quarantined as aborted",
-    )
-    p_verify.add_argument(
-        "--batch", choices=["auto", "cells", "states", "off"], default="auto",
-        help="SoA kernel batching: `cells` runs the whole partition in "
-        "lockstep waves (requires --workers 1 and no wall-clock budgets), "
-        "`states` batches within each cell, `off` forces the scalar path, "
-        "`auto` picks `cells` when compatible and `states` otherwise. "
-        "Verdicts are bitwise identical either way; REPRO_BATCHED=0 "
-        "overrides everything to scalar",
     )
     p_verify.add_argument(
         "--distributed", nargs="?", const="auto", default=None, metavar="N",

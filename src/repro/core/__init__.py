@@ -29,7 +29,7 @@ from .reach import (
     reach_many,
 )
 from .result import CellResult, VerificationReport
-from .runner import RunnerSettings, verify_cell, verify_partition
+from .runner import RunnerSettings, run_cells, verify_cell, verify_cells, verify_partition
 from .supervisor import (
     BudgetExceeded,
     ShutdownFlag,
@@ -97,12 +97,14 @@ __all__ = [
     "reach_many",
     "resize",
     "run_cell_guarded",
+    "run_cells",
     "run_distributed",
     "run_node",
     "run_supervised",
     "shard_index",
     "trap_shutdown_signals",
     "verify_cell",
+    "verify_cells",
     "verify_partition",
     "verify_partition_checkpointed",
 ]

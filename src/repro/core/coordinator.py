@@ -16,7 +16,7 @@ Recovery, not scheduling, is the design center:
   lease; after an exponential cooling-off window the shard is
   *work-stolen* by any idle node — at cell granularity: the steal
   grant excludes every cell the dead node already streamed back, so a
-  crash costs at most the in-flight cells, never recomputation of
+  crash costs at most the in-flight chunks, never recomputation of
   journaled ones.
 * **Zombie nodes.** Every grant carries a fresh, strictly increasing
   *epoch*. A node that went silent (netsplit) and later floods its
@@ -46,7 +46,7 @@ import os
 import selectors
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -78,9 +78,10 @@ class DistributedSettings:
     #: ``HOST:PORT`` to listen on (port 0 = ephemeral, reported by
     #: :meth:`Coordinator.start`).
     listen: str = "127.0.0.1:0"
-    #: Shard count (None = ``max(8, 4 * expected_nodes)``, capped at
-    #: the cell count). More shards than nodes keeps the work-stealing
-    #: granularity useful: an idle node always has something to claim.
+    #: Shard count (None = ``2 * expected_nodes``, at least 2, capped
+    #: at the cell count). A node verifies each grant as one lockstep
+    #: chunk, whose per-cell cost falls as it widens, so shards stay
+    #: few; two per node still leave an idle node something to claim.
     num_shards: int | None = None
     #: Hold all grants until this many nodes have said hello
     #: (0 = grant as nodes arrive).
@@ -192,9 +193,7 @@ class Coordinator:
             self.keys.append(_cell_key(box, command))
         self.index_of = {key: i for i, key in enumerate(self.keys)}
 
-        num_shards = self.dist.num_shards or max(
-            8, 4 * max(1, self.dist.expected_nodes)
-        )
+        num_shards = self.dist.num_shards or 2 * max(1, self.dist.expected_nodes)
         num_shards = min(num_shards, max(1, len(self.keys)))
         self.shards = assign_shards(self.keys, num_shards)
         self.table = LeaseTable(
@@ -207,9 +206,6 @@ class Coordinator:
         self.welcome_config = dict(welcome_config or {})
         self.welcome_config.setdefault("substeps", self.settings.reach.substeps)
         self.welcome_config.setdefault("gamma", self.settings.reach.max_symbolic_states)
-        self.welcome_config.setdefault(
-            "batch_states", self.settings.reach.batch_states
-        )
         self.welcome_config.setdefault(
             "depth",
             self.settings.refinement.max_depth if self.settings.refinement else 0,
@@ -729,6 +725,7 @@ def run_distributed(
     it to scope ``REPRO_FAULTS`` to the nodes). The agents inherit the
     caller's ``system_factory`` and ``settings`` through the fork, so
     they verify with exactly the campaign's configuration.
+    ``dist.expected_nodes`` is replaced by ``nodes``.
     """
     import multiprocessing
 
@@ -736,7 +733,9 @@ def run_distributed(
     from .node import NodeSettings, run_node
 
     settings = settings or RunnerSettings()
-    dist = dist or DistributedSettings()
+    # The agents are local forks that dial at once: wait for all of them
+    # before granting, and size the default shard count by them.
+    dist = replace(dist or DistributedSettings(), expected_nodes=nodes)
     coordinator = Coordinator(
         cells,
         journal_path,

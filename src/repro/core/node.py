@@ -10,7 +10,9 @@ coordinator (:mod:`repro.core.coordinator`). The agent's whole job is:
 
 1. connect and say ``hello`` (node id, worker count);
 2. for each ``grant`` frame, verify the shard's cells on the local
-   pool, streaming one ``result`` frame per finished cell;
+   pool, streaming one ``result`` frame per finished cell (a pool of
+   one worker verifies the whole grant as one chunk: the shard's cells
+   and all their refinement children share lockstep waves);
 3. keep a heartbeat thread talking so the coordinator can tell
    "slow" from "dead" (the payload reuses the
    :class:`~repro.obs.live.HeartbeatReporter` shape that single-host
@@ -328,7 +330,6 @@ def _reach_from_config(config: dict):
     return ReachSettings(
         substeps=int(config.get("substeps", 10)),
         max_symbolic_states=int(config.get("gamma", 5)),
-        batch_states=bool(config.get("batch_states", False)),
     )
 
 

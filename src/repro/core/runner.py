@@ -2,14 +2,18 @@
 
 The paper observes that the ``K0`` initial cells are independent
 verification problems, so the partition is embarrassingly parallel.
-:func:`verify_partition` distributes cells over a *supervised* worker
+Every cell is verified by one driver, :func:`verify_cells`: the cells
+of a *chunk* advance through the control steps in lockstep waves
+(:func:`~repro.core.reach.reach_many`), refinement children included.
+:func:`run_cells` is the one chunk executor behind every campaign: it
+runs chunks in this process for one worker and on the *supervised*
 pool (:mod:`repro.core.supervisor` — fork-based, so the closed-loop
-system object does not need to be picklable) and applies split
-refinement to cells that fail. The execution layer is fault-tolerant:
-worker crashes are retried and then quarantined as ``ABORTED``, cells
-exceeding their wall-clock budget become ``TIMED_OUT``, a campaign
-deadline or SIGINT/SIGTERM drains in-flight cells and returns a
-partial report.
+system object does not need to be picklable) otherwise. The execution
+layer is fault-tolerant: a crashed chunk is bisected until the failing
+cell is alone, which is then retried and quarantined as ``ABORTED``,
+cells exceeding their wall-clock budget become ``TIMED_OUT``, a
+campaign deadline or SIGINT/SIGTERM drains in-flight chunks and
+returns a partial report.
 """
 
 from __future__ import annotations
@@ -17,22 +21,29 @@ from __future__ import annotations
 import logging
 import os
 import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..intervals import Box, batching_enabled
+from ..intervals import Box
 from ..obs import get_recorder
 from ..obs.live import HeartbeatReporter, get_bus
 from .partition import RefinementPolicy
-from .reach import ReachSettings, Verdict, reach_from_box, reach_many
+from .reach import ReachSettings, Verdict, reach_many
 from .symbolic import SymbolicSet, SymbolicState
 from .result import CellResult, VerificationReport
 from .supervisor import (
     BudgetExceeded,
+    SupervisorOutcome,
+    Task,
+    announce_interrupt,
     budget_guard,
-    merge_worker_traces,
+    chunk_label,
+    chunk_size,
+    publish_finished,
     run_cell_guarded,
     run_supervised,
     trap_shutdown_signals,
@@ -52,10 +63,19 @@ WitnessSearch = Callable[[ClosedLoopSystem, Box, int], Optional[np.ndarray]]
 @dataclass(frozen=True)
 class RunnerSettings:
     """Per-cell reachability settings, the refinement policy, and the
-    fault-tolerance budgets enforced by the supervised runner."""
+    fault-tolerance budgets enforced by the supervised runner.
+
+    Cells are dispatched in chunks (see :func:`run_cells`) of
+    ``ceil(pending / workers)`` cells, so one worker verifies its whole
+    queue as one lockstep wave. A campaign with ``cell_timeout`` or
+    ``deadline`` set dispatches one top-level cell per chunk, so both
+    budgets keep their per-cell meaning.
+    """
 
     reach: ReachSettings = field(default_factory=ReachSettings)
     refinement: RefinementPolicy | None = None
+    #: Processes verifying chunks: 1 runs them in this process, more
+    #: run them on the supervised fork pool.
     workers: int = 1
     witness_search: WitnessSearch | None = None
     #: Wall-clock budget per top-level cell in seconds, refinement
@@ -64,12 +84,13 @@ class RunnerSettings:
     #: the cell degrades to ``Verdict.TIMED_OUT``.
     cell_timeout: float | None = None
     #: Campaign wall-clock budget in seconds (None = unbounded). Once
-    #: exceeded, no further cells are dispatched; in-flight cells drain
+    #: exceeded, no further cells are dispatched; in-flight chunks drain
     #: and the report is partial.
     deadline: float | None = None
     #: How many times a cell whose worker died is retried (on a fresh
     #: worker, with exponential backoff) before being quarantined as
-    #: ``Verdict.ABORTED``.
+    #: ``Verdict.ABORTED``. A multi-cell chunk is first bisected, with
+    #: no attempt burned, until the failing cell is alone.
     max_retries: int = 1
     #: Base of the exponential retry backoff, in seconds.
     retry_backoff: float = 0.25
@@ -77,16 +98,6 @@ class RunnerSettings:
     #: (None = unbounded); a timed-out search counts as "no witness
     #: found" and refinement proceeds.
     witness_timeout: float | None = None
-    #: Verify the partition in lockstep *waves*: all cells (and, per
-    #: refinement round, all child cells) advance through the control
-    #: steps together, so every step issues one batched integrator call
-    #: over the whole wave's symbolic states (the SoA kernels in
-    #: :mod:`repro.intervals.batched`). Verdicts are bitwise identical
-    #: to the scalar path. Serial mode only (``workers == 1``) and
-    #: incompatible with the per-cell/campaign wall-clock budgets,
-    #: which are enforced per dispatched cell. ``REPRO_BATCHED=0``
-    #: falls back to the scalar per-cell loop.
-    batch_cells: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -101,14 +112,6 @@ class RunnerSettings:
             raise ValueError("retry_backoff must be >= 0")
         if self.witness_timeout is not None and self.witness_timeout <= 0:
             raise ValueError("witness_timeout must be positive (or None)")
-        if self.batch_cells:
-            if self.workers != 1:
-                raise ValueError("batch_cells requires workers == 1")
-            if self.cell_timeout is not None or self.deadline is not None:
-                raise ValueError(
-                    "batch_cells is incompatible with cell_timeout/deadline "
-                    "(budgets are enforced per dispatched cell)"
-                )
 
 
 def _search_witness(
@@ -149,109 +152,45 @@ def _search_witness(
     return True
 
 
-def verify_cell(
+def verify_cells(
     system: ClosedLoopSystem,
-    box: Box,
-    command: int,
-    settings: RunnerSettings,
-    cell_id: str = "cell",
-    depth: int = 0,
-) -> CellResult:
-    """Verify one initial cell, split-refining on failure (Section 7.1).
-
-    The refinement recursion matches the paper: a cell that cannot be
-    proved safe is bisected (per the policy) and every child is retried,
-    down to ``max_depth``.
-    """
-    rec = get_recorder()
-    started = time.perf_counter()
-    with rec.span("cell", cell_id=cell_id, depth=depth, command=command):
-        outcome = reach_from_box(system, box, command, settings.reach)
-    elapsed = time.perf_counter() - started
-    result = CellResult(
-        cell_id=cell_id,
-        box=box,
-        command=command,
-        verdict=outcome.verdict,
-        depth=depth,
-        elapsed_seconds=elapsed,
-        steps_completed=outcome.steps_completed,
-        joins_performed=outcome.joins_performed,
-        integrations=outcome.integrations,
-    )
-    rec.inc(f"runner.verdict.{outcome.verdict.value}")
-    if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
-        if _search_witness(system, result, settings, depth):
-            return result
-    policy = settings.refinement
-    if (
-        result.verdict is not Verdict.PROVED_SAFE
-        and policy is not None
-        and depth < policy.max_depth
-    ):
-        rec.inc("runner.refinements")
-        with rec.span("refine", cell_id=cell_id, depth=depth + 1):
-            for i, child_box in enumerate(policy.children(box)):
-                result.children.append(
-                    verify_cell(
-                        system,
-                        child_box,
-                        command,
-                        settings,
-                        cell_id=f"{cell_id}.{i}",
-                        depth=depth + 1,
-                    )
-                )
-    return result
-
-
-# ----------------------------------------------------------------------
-# Lockstep (batched) driver
-# ----------------------------------------------------------------------
-def _verify_cells_lockstep(
-    system: ClosedLoopSystem,
-    tasks: Sequence[tuple[str, Box, int, dict]],
+    tasks: Sequence[Task],
     settings: RunnerSettings,
 ) -> list[CellResult]:
-    """Verify every cell in lockstep waves (``batch_cells`` mode).
+    """Verify a chunk of ``(cell_id, box, command, tags)`` cells in
+    lockstep waves, split-refining failures (Section 7.1); one result
+    tree per task, in order.
 
-    Wave 0 holds the top-level cells; each refinement round collects
-    every failed cell's children into the next wave. Within a wave,
+    Wave 0 holds the chunk's cells; each refinement round collects every
+    failed cell's children (bisected per the policy, down to
+    ``max_depth``) into the next wave. Within a wave,
     :func:`~repro.core.reach.reach_many` advances all cells through the
     control steps together, so each step issues one batched integrator
     call over the whole wave. Verdicts, refinement decisions and the
-    result tree are identical to the sequential :func:`verify_cell`
-    recursion; only the grouping of work (and hence the per-cell
-    ``elapsed_seconds`` attribution) differs.
+    result trees do not depend on how cells are grouped into chunks;
+    only the per-cell ``elapsed_seconds`` attribution does. Tags are
+    left to the caller (:func:`~repro.core.supervisor.run_cell_guarded`).
     """
     rec = get_recorder()
     policy = settings.refinement
-    top_results: list[CellResult] = []
-    wave: list[dict] = []
-    for slot, (cell_id, box, command, _tags) in enumerate(tasks):
-        wave.append(
-            {
-                "cell_id": cell_id,
-                "box": box,
-                "command": command,
-                "depth": 0,
-                "parent": None,
-                "slot": slot,
-            }
-        )
-        top_results.append(None)  # type: ignore[arg-type]
+    top_results: list[CellResult | None] = [None] * len(tasks)
+    # Every cell of a wave has the same depth. Owner: the top-level
+    # slot of a chunk cell, the parent's result of a refinement child.
+    wave: list[tuple[str, Box, int, int | CellResult]] = [
+        (cell_id, box, command, slot)
+        for slot, (cell_id, box, command, _tags) in enumerate(tasks)
+    ]
+    depth = 0
     while wave:
-        initials = [
-            SymbolicSet([SymbolicState(t["box"], t["command"])]) for t in wave
-        ]
-        outcomes = reach_many(system, initials, settings.reach)
-        next_wave: list[dict] = []
-        for task, outcome in zip(wave, outcomes):
-            depth = task["depth"]
+        initials = [SymbolicSet([SymbolicState(box, command)]) for _, box, command, _ in wave]
+        with rec.span("refine", depth=depth, cells=len(wave)) if depth else nullcontext():
+            outcomes = reach_many(system, initials, settings.reach)
+        next_wave = []
+        for (cell_id, box, command, owner), outcome in zip(wave, outcomes):
             result = CellResult(
-                cell_id=task["cell_id"],
-                box=task["box"],
-                command=task["command"],
+                cell_id=cell_id,
+                box=box,
+                command=command,
                 verdict=outcome.verdict,
                 depth=depth,
                 elapsed_seconds=outcome.elapsed_seconds,
@@ -260,10 +199,12 @@ def _verify_cells_lockstep(
                 integrations=outcome.integrations,
             )
             rec.inc(f"runner.verdict.{outcome.verdict.value}")
-            # Keep the "cell" phase populated for dashboards and the
-            # ledger: the scalar driver gets it from the per-cell span,
-            # here it is the wave-proportional elapsed attribution.
-            rec.observe("cell.seconds", outcome.elapsed_seconds)
+            # The cell's share of the wave, as a span: the "cell" phase
+            # and the slowest-cells list of `repro stats`.
+            rec.record_span(
+                "cell", outcome.elapsed_seconds,
+                cell_id=cell_id, depth=depth, command=command,
+            )
             witnessed = False
             if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
                 witnessed = _search_witness(system, result, settings, depth)
@@ -274,28 +215,106 @@ def _verify_cells_lockstep(
                 and depth < policy.max_depth
             ):
                 rec.inc("runner.refinements")
-                for i, child_box in enumerate(policy.children(task["box"])):
-                    next_wave.append(
-                        {
-                            "cell_id": f"{task['cell_id']}.{i}",
-                            "box": child_box,
-                            "command": task["command"],
-                            "depth": depth + 1,
-                            "parent": result,
-                            "slot": None,
-                        }
-                    )
-            if task["parent"] is None:
-                top_results[task["slot"]] = result
+                for i, child_box in enumerate(policy.children(box)):
+                    next_wave.append((f"{cell_id}.{i}", child_box, command, result))
+            if isinstance(owner, int):
+                top_results[owner] = result
             else:
-                task["parent"].children.append(result)
+                owner.children.append(result)
         wave = next_wave
-    return top_results
+        depth += 1
+    return top_results  # type: ignore[return-value]
+
+
+def verify_cell(
+    system: ClosedLoopSystem,
+    box: Box,
+    command: int,
+    settings: RunnerSettings,
+    cell_id: str = "cell",
+) -> CellResult:
+    """Verify one initial cell, split-refining on failure: the wave
+    driver :func:`verify_cells` over a chunk of one."""
+    return verify_cells(system, [(cell_id, box, command, {})], settings)[0]
 
 
 # ----------------------------------------------------------------------
-# Parallel driver
+# The chunk executor
 # ----------------------------------------------------------------------
+def run_cells(
+    system_factory: Callable[[], ClosedLoopSystem],
+    tasks: Sequence[Task],
+    settings: RunnerSettings,
+    on_result: Callable[[int, CellResult], None] | None = None,
+) -> SupervisorOutcome:
+    """Verify ``tasks`` in chunks: on the supervised pool
+    (:func:`~repro.core.supervisor.run_supervised`) when
+    ``settings.workers > 1``, else in this process.
+
+    Both paths size chunks with
+    :func:`~repro.core.supervisor.chunk_size`, verify each with
+    :func:`~repro.core.supervisor.run_cell_guarded`, publish one
+    ``cell.dispatched`` and one ``cell.finished`` per cell, stop
+    dispatching on a deadline or SIGINT/SIGTERM, and call
+    ``on_result(task_index, result)`` as each cell finishes. In this
+    process a raising chunk is bisected by ``run_cell_guarded``; a
+    crash takes the campaign down with it, as any in-process code would.
+    """
+    if settings.workers > 1:
+        return run_supervised(system_factory, tasks, settings, on_result=on_result)
+    outcome = SupervisorOutcome()
+    if not tasks:
+        return outcome
+    bus = get_bus()
+    system = system_factory()
+    # The serial driver is its own "worker 0": a heartbeat thread beats
+    # from this process so stall detection (`repro watch`) works for
+    # single-worker campaigns too.
+    reporter = None
+    if bus.enabled:
+        bus.publish("worker.ready", worker=0, pid=os.getpid())
+        reporter = HeartbeatReporter(
+            lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
+            bus.heartbeat_interval or 1.0,
+        ).start()
+    pending = deque(range(len(tasks)))
+    try:
+        with trap_shutdown_signals() as stop:
+            deadline_at = (
+                time.monotonic() + settings.deadline if settings.deadline else None
+            )
+            while pending:
+                if stop.requested:
+                    outcome.interrupted = stop.reason
+                elif deadline_at is not None and time.monotonic() >= deadline_at:
+                    outcome.interrupted = "deadline"
+                if outcome.interrupted:
+                    announce_interrupt(outcome.interrupted, len(pending))
+                    break
+                chunk = [
+                    pending.popleft() for _ in range(chunk_size(len(pending), 1, settings))
+                ]
+                for seq in chunk:
+                    bus.publish(
+                        "cell.dispatched", worker=0, cell_id=tasks[seq][0], seq=seq,
+                        attempt=0,
+                    )
+                if reporter is not None:
+                    reporter.begin_cell(chunk_label([tasks[seq][0] for seq in chunk]))
+                results = run_cell_guarded(system, [tasks[seq] for seq in chunk], settings)
+                for seq, result in zip(chunk, results):
+                    if reporter is not None:
+                        reporter.end_cell()
+                    publish_finished(bus, 0, seq, result)
+                    outcome.results[seq] = result
+                    if on_result is not None:
+                        on_result(seq, result)
+    finally:
+        if reporter is not None:
+            reporter.stop()
+    return outcome
+
+
 def _notify_progress(progress, done: int, total: int, result: CellResult) -> None:
     """Feed either callback style: rich (``update(done, total, result)``,
     e.g. :class:`repro.obs.CampaignProgress`) or the legacy bare
@@ -331,7 +350,6 @@ def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict
         "cell_timeout": settings.cell_timeout,
         "deadline": settings.deadline,
         "max_retries": settings.max_retries,
-        "batch_cells": settings.batch_cells,
     }
     if interrupted:
         summary["interrupted"] = interrupted
@@ -357,10 +375,11 @@ def verify_partition(
     observer with an ``update(done, total, result)`` method (see
     :class:`repro.obs.CampaignProgress` for rate/ETA/verdict counts).
 
-    With ``settings.workers > 1`` the cells run on the supervised pool
-    (:func:`repro.core.supervisor.run_supervised`): crashes retry then
-    quarantine as ``ABORTED``, budget overruns become ``TIMED_OUT``,
-    and a deadline or SIGINT/SIGTERM yields a partial report
+    The cells run in chunks through :func:`run_cells`, on the
+    supervised pool when ``settings.workers > 1``: crashes bisect the
+    chunk, then retry and quarantine the failing cell as ``ABORTED``,
+    budget overruns become ``TIMED_OUT``, and a deadline or
+    SIGINT/SIGTERM yields a partial report
     (``settings_summary["interrupted"]`` names the reason).
 
     When a live :class:`repro.obs.Recorder` is installed, workers
@@ -384,105 +403,16 @@ def verify_partition(
         workers=settings.workers,
         pid=os.getpid(),
     )
-    interrupted: str | None = None
-    results: list[CellResult]
-    if settings.workers == 1 and settings.batch_cells and batching_enabled():
-        # Lockstep wave mode: every control step issues one batched
-        # integrator call over all live cells. No per-cell dispatch,
-        # budgets or interrupt draining — the wave runs to completion
-        # (RunnerSettings rejects batch_cells + budgets up front).
-        system = system_factory()
-        if bus.enabled:
-            bus.publish("worker.ready", worker=0, pid=os.getpid())
-        results = _verify_cells_lockstep(system, tasks, settings)
-        for i, ((cell_id, _box, _command, tags), result) in enumerate(
-            zip(tasks, results)
-        ):
-            result.tags.update(tags)
-            bus.publish(
-                "cell.finished",
-                worker=0,
-                cell_id=cell_id,
-                seq=i,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-            )
-            _notify_progress(progress, i + 1, len(tasks), result)
-    elif settings.workers == 1:
-        system = system_factory()
-        results = []
-        # The serial driver is its own "worker 0": a heartbeat thread
-        # beats from this process so stall detection (`repro watch`)
-        # works for single-worker campaigns too.
-        reporter = None
-        if bus.enabled:
-            bus.publish("worker.ready", worker=0, pid=os.getpid())
-            reporter = HeartbeatReporter(
-                lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-                bus.heartbeat_interval or 1.0,
-            ).start()
-        try:
-            with trap_shutdown_signals() as stop:
-                deadline_at = (
-                    time.monotonic() + settings.deadline if settings.deadline else None
-                )
-                for i, (cell_id, box, command, tags) in enumerate(tasks):
-                    if stop.requested:
-                        interrupted = stop.reason
-                    elif deadline_at is not None and time.monotonic() >= deadline_at:
-                        interrupted = "deadline"
-                    if interrupted:
-                        rec.event(
-                            "campaign.interrupted",
-                            reason=interrupted,
-                            dropped_cells=len(tasks) - i,
-                        )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=interrupted,
-                            dropped_cells=len(tasks) - i,
-                        )
-                        logger.warning(
-                            "campaign interrupted (%s): %d cells not run",
-                            interrupted, len(tasks) - i,
-                        )
-                        break
-                    bus.publish(
-                        "cell.dispatched", worker=0, cell_id=cell_id, seq=i, attempt=0
-                    )
-                    if reporter is not None:
-                        reporter.begin_cell(cell_id)
-                    result = run_cell_guarded(system, box, command, settings, cell_id)
-                    result.tags.update(tags)
-                    if reporter is not None:
-                        reporter.end_cell()
-                    bus.publish(
-                        "cell.finished",
-                        worker=0,
-                        cell_id=cell_id,
-                        seq=i,
-                        verdict=result.verdict.value,
-                        verdict_class=result.verdict_class(),
-                        elapsed=result.elapsed_seconds,
-                    )
-                    results.append(result)
-                    _notify_progress(progress, i + 1, len(tasks), result)
-        finally:
-            if reporter is not None:
-                reporter.stop()
-    else:
-        done = 0
+    done = 0
 
-        def on_result(seq: int, result: CellResult) -> None:
-            nonlocal done
-            done += 1
-            _notify_progress(progress, done, len(tasks), result)
+    def on_result(seq: int, result: CellResult) -> None:
+        nonlocal done
+        done += 1
+        _notify_progress(progress, done, len(tasks), result)
 
-        outcome = run_supervised(system_factory, tasks, settings, on_result=on_result)
-        interrupted = outcome.interrupted
-        results = [outcome.results[i] for i in sorted(outcome.results)]
-        merge_worker_traces(rec)
+    outcome = run_cells(system_factory, tasks, settings, on_result)
+    interrupted = outcome.interrupted
+    results = [outcome.results[i] for i in sorted(outcome.results)]
 
     report = VerificationReport(cells=results)
     report.wall_seconds = time.perf_counter() - run_started

@@ -8,9 +8,13 @@ and a runaway cell (stiff dynamics, deep refinement) could hang the
 campaign forever. This module replaces it with a supervised pool built
 on one duplex pipe per worker:
 
+* **Chunk dispatch** — each worker verifies a *chunk* of top-level
+  cells in lockstep waves (:func:`run_cell_guarded`); :func:`chunk_size`
+  sizes chunks from the queue, the pool size and the budgets.
 * **Dead-worker detection and respawn** — a worker that exits (crash,
-  OOM-kill, segfault) is detected via pipe EOF / ``exitcode``; its
-  in-flight cell is retried on a fresh worker up to
+  OOM-kill, segfault) is detected via pipe EOF / ``exitcode``. A
+  multi-cell chunk is split in half and both halves are requeued,
+  burning no attempt; a lone cell is retried on a fresh worker up to
   ``RunnerSettings.max_retries`` times with exponential backoff, then
   quarantined as :data:`~repro.core.reach.Verdict.ABORTED` with the
   failure reason in ``tags["failure"]``.
@@ -20,10 +24,10 @@ on one duplex pipe per worker:
   the supervisor, which kills workers stuck past a grace margin (hangs
   in native code are immune to ``SIGALRM``).
 * **Campaign deadline** — ``RunnerSettings.deadline`` stops
-  dispatching once exceeded; in-flight cells drain and the caller gets
-  a partial report.
+  dispatching once exceeded; in-flight chunks drain and the caller
+  gets a partial report.
 * **Graceful shutdown** — SIGINT/SIGTERM stop dispatching, drain
-  in-flight cells (a second signal aborts the drain), flush traces,
+  in-flight chunks (a second signal aborts the drain), flush traces,
   and return the partial results so journals and ledgers stay intact.
 
 Cells must degrade to an explicit quarantine verdict; they must never
@@ -47,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from ..intervals import Box
 from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
 from ..obs.live import HeartbeatReporter, get_bus
 from ..obs.live import set_bus as set_live_bus
@@ -56,7 +61,8 @@ from .result import CellResult
 
 logger = logging.getLogger("repro.core.supervisor")
 
-#: A dispatchable unit: (cell_id, box, command, tags).
+#: One top-level cell to verify: (cell_id, box, command, tags). Cells
+#: are dispatched to workers in chunks (lists of tasks).
 Task = tuple
 
 #: Supervisor poll tick (seconds): the upper bound on how stale the
@@ -176,20 +182,30 @@ def quarantine_result(
     return result
 
 
-def run_cell_guarded(
-    system,
-    box,
-    command: int,
-    settings,
-    cell_id: str,
-    attempt: int = 0,
-) -> CellResult:
-    """:func:`~repro.core.runner.verify_cell` wrapped in the budget
-    machinery: a cell that exceeds ``cell_timeout`` degrades to
-    ``TIMED_OUT``, one that raises degrades to ``ABORTED``. Used by the
-    serial driver and by every pool worker — a cell never takes the
-    campaign down."""
-    from .runner import verify_cell  # deferred: runner imports this module
+def run_cell_guarded(system, chunk, *cell, attempt: int = 0):
+    """Verify a chunk of ``(cell_id, box, command, tags)`` tasks with the
+    lockstep wave driver (:func:`~repro.core.runner.verify_cells`),
+    wrapped in the budget machinery; returns one result per task, in
+    order, tagged and stamped with ``attempt + 1`` attempts. The chunk
+    entry of every pool worker and of the in-process executor — a cell
+    never takes the campaign down:
+
+    * past ``cell_timeout`` the chunk's cells degrade to ``TIMED_OUT``
+      (budgeted campaigns dispatch one cell per chunk, so the budget is
+      the cell's own);
+    * a chunk that raises is bisected and each half verified again,
+      until the raising cell is alone and degrades to ``ABORTED``.
+
+    ``run_cell_guarded(system, box, command, settings, cell_id)`` is the
+    one-cell form; it returns that cell's result.
+    """
+    if isinstance(chunk, Box):
+        command, settings, cell_id = cell
+        return run_cell_guarded(
+            system, [(cell_id, chunk, command, {})], settings, attempt=attempt
+        )[0]
+    (settings,) = cell
+    from .runner import verify_cells  # deferred: runner imports this module
 
     rec = get_recorder()
     injector = get_fault_injector()
@@ -197,42 +213,107 @@ def run_cell_guarded(
     try:
         with budget_guard(settings.cell_timeout, scope="cell"):
             if injector is not None:
-                injector.on_guarded_cell(cell_id, attempt)
-            result = verify_cell(system, box, command, settings, cell_id)
+                for task in chunk:
+                    injector.on_guarded_cell(task[0], attempt)
+            results = verify_cells(system, chunk, settings)
     except BudgetExceeded as exc:
         if exc.scope != "cell":
             raise
         elapsed = time.perf_counter() - started
-        rec.inc("runner.cells_timed_out")
-        rec.event("cell.timeout", cell_id=cell_id, budget_seconds=exc.seconds)
-        logger.warning("cell %s exceeded its %.3gs budget; quarantined", cell_id, exc.seconds)
-        return quarantine_result(
-            cell_id,
-            box,
-            command,
-            Verdict.TIMED_OUT,
-            {"kind": "timeout", "budget_seconds": exc.seconds, "enforced": "budget-guard"},
-            elapsed_seconds=elapsed,
-            attempts=attempt + 1,
-        )
+        results = []
+        for cell_id, box, command, _tags in chunk:
+            rec.inc("runner.cells_timed_out")
+            rec.event("cell.timeout", cell_id=cell_id, budget_seconds=exc.seconds)
+            logger.warning(
+                "cell %s exceeded its %.3gs budget; quarantined", cell_id, exc.seconds
+            )
+            results.append(quarantine_result(
+                cell_id,
+                box,
+                command,
+                Verdict.TIMED_OUT,
+                {"kind": "timeout", "budget_seconds": exc.seconds, "enforced": "budget-guard"},
+                elapsed_seconds=elapsed,
+            ))
     except Exception as exc:
-        elapsed = time.perf_counter() - started
+        if len(chunk) > 1:
+            half = len(chunk) // 2
+            rec.inc("runner.chunk_splits")
+            logger.warning(
+                "chunk %s raised %s; bisecting it", chunk_label([t[0] for t in chunk]),
+                type(exc).__name__,
+            )
+            return run_cell_guarded(
+                system, chunk[:half], settings, attempt=attempt
+            ) + run_cell_guarded(system, chunk[half:], settings, attempt=attempt)
+        cell_id, box, command, _tags = chunk[0]
         rec.inc("runner.cells_errored")
         rec.event("cell.error", cell_id=cell_id, error=type(exc).__name__)
         logger.warning(
             "cell %s raised %s: %s; quarantined", cell_id, type(exc).__name__, exc
         )
-        return quarantine_result(
+        results = [quarantine_result(
             cell_id,
             box,
             command,
             Verdict.ABORTED,
             {"kind": "exception", "error": f"{type(exc).__name__}: {exc}"},
-            elapsed_seconds=elapsed,
-            attempts=attempt + 1,
-        )
-    result.attempts = attempt + 1
-    return result
+            elapsed_seconds=time.perf_counter() - started,
+        )]
+    for (_cell_id, _box, _command, tags), result in zip(chunk, results):
+        result.tags.update(tags)
+        result.attempts = attempt + 1
+    return results
+
+
+# ----------------------------------------------------------------------
+# Chunk dispatch
+# ----------------------------------------------------------------------
+def chunk_size(pending: int, workers: int, settings) -> int:
+    """How many of ``pending`` top-level cells the next chunk takes.
+
+    A campaign with ``cell_timeout`` or ``deadline`` set dispatches one
+    cell per chunk, so the budget guard, the supervisor's hard kill and
+    the deadline check keep their per-cell meaning. Otherwise each chunk
+    takes ``ceil(pending / workers)`` cells (guided self-scheduling): a
+    single worker takes its whole queue as one lockstep wave, and a
+    pool's chunks shrink as the queue drains, so the tail balances while
+    waves stay wide. Wide waves matter: the per-step cost of a wave is
+    mostly fixed, so narrower chunks cost more per cell.
+    """
+    if settings.cell_timeout is not None or settings.deadline is not None:
+        return 1
+    return -(-pending // workers)
+
+
+def chunk_label(cell_ids: Sequence[str]) -> str:
+    """How logs and heartbeats name a chunk."""
+    if len(cell_ids) == 1:
+        return cell_ids[0]
+    return f"{cell_ids[0]}..{cell_ids[-1]} ({len(cell_ids)} cells)"
+
+
+def publish_finished(bus, worker: int | None, seq: int, result: CellResult) -> None:
+    bus.publish(
+        "cell.finished",
+        worker=worker,
+        cell_id=result.cell_id,
+        seq=seq,
+        verdict=result.verdict.value,
+        verdict_class=result.verdict_class(),
+        elapsed=result.elapsed_seconds,
+        attempts=result.attempts,
+    )
+
+
+def announce_interrupt(reason: str, dropped: int, in_flight: int = 0) -> None:
+    """Trace, publish and log that a campaign stopped dispatching."""
+    get_recorder().event("campaign.interrupted", reason=reason, dropped_cells=dropped)
+    get_bus().publish("campaign.interrupted", reason=reason, dropped_cells=dropped)
+    logger.warning(
+        "campaign interrupted (%s): %d cells not dispatched; draining %d in-flight",
+        reason, dropped, in_flight,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -373,26 +454,29 @@ def _worker_main(
             break  # parent gone
         if message is None:
             break
-        seq, cell_id, box, command, tags, attempt = message
+        chunk, attempt = message
+        cell_ids = [task[0] for task in chunk]
         if reporter is not None:
-            reporter.begin_cell(cell_id)
+            reporter.begin_cell(chunk_label(cell_ids))
         if injector is not None:
-            injector.on_worker_cell(cell_id, attempt)
-        result = run_cell_guarded(system, box, command, settings, cell_id, attempt)
-        result.tags.update(tags)
+            for cell_id in cell_ids:
+                injector.on_worker_cell(cell_id, attempt)
+        results = run_cell_guarded(system, chunk, settings, attempt=attempt)
         if reporter is not None:
-            reporter.end_cell()
+            for _ in results:
+                reporter.end_cell()
         delta = None
         if rec.enabled:
             rec.flush()
-            # Ship the metrics gathered since the last cell back to the
+            # Ship the metrics gathered since the last chunk back to the
             # parent; draining keeps deltas disjoint, so the parent can
             # simply fold every payload into its registry.
             delta = rec.metrics.drain()
             if injector is not None:
-                delta = injector.corrupt_metrics_payload(cell_id, attempt, delta)
+                for cell_id in cell_ids:
+                    delta = injector.corrupt_metrics_payload(cell_id, attempt, delta)
         try:
-            send(("result", worker_id, seq, result, delta))
+            send(("result", worker_id, results, delta))
         except OSError:
             break
     if reporter is not None:
@@ -411,8 +495,9 @@ class _WorkerHandle:
     proc: multiprocessing.Process
     conn: multiprocessing.connection.Connection
     ready: bool = False
-    #: (seq, hard-kill monotonic deadline or None) of the in-flight cell.
-    current: tuple[int, float | None] | None = None
+    #: (task indices, hard-kill monotonic deadline or None) of the
+    #: in-flight chunk.
+    current: tuple[list[int], float | None] | None = None
 
 
 @dataclass
@@ -470,7 +555,12 @@ def run_supervised(
     on_result: Callable[[int, CellResult], None] | None = None,
 ) -> SupervisorOutcome:
     """Run ``tasks`` over a supervised pool of ``settings.workers``
-    fork processes.
+    fork processes, in chunks sized by :func:`chunk_size`.
+
+    A worker that dies on a multi-cell chunk burns no attempt: the
+    chunk is split in half and both halves are requeued ahead of fresh
+    cells. Once the failing cell is alone, the retry,
+    backoff and quarantine rules apply to it.
 
     ``on_result`` is called in the supervisor loop (parent process,
     completion order) with ``(task_index, result)`` as each cell
@@ -494,7 +584,8 @@ def run_supervised(
     hard_budget = _hard_kill_budget(settings)
     heartbeat = bus.heartbeat_interval if bus.enabled else None
 
-    pending: deque[int] = deque(range(total))
+    pending: deque[int] = deque(range(total))  # cells never dispatched
+    requeued: deque[list[int]] = deque()  # split halves and due retries
     retry_heap: list[tuple[float, int]] = []  # (due monotonic time, seq)
     attempts: dict[int, int] = {}  # seq -> attempts already burned
     workers: dict[int, _WorkerHandle] = {}
@@ -549,35 +640,40 @@ def run_supervised(
             reason=reason.get("kind"),
             attempts=dispatches,
         )
-        bus.publish(
-            "cell.finished",
-            cell_id=cell_id,
-            seq=seq,
-            verdict=verdict.value,
-            verdict_class=result.verdict_class(),
-            elapsed=result.elapsed_seconds,
-        )
+        publish_finished(bus, None, seq, result)
         finish(seq, result)
 
-    def handle_crash(seq: int, worker: _WorkerHandle) -> None:
+    def take_chunk() -> list[int]:
+        if requeued:
+            return requeued.popleft()
+        return [pending.popleft() for _ in range(chunk_size(len(pending), pool_size, settings))]
+
+    def split(chunk: list[int], cause: str) -> None:
+        half = len(chunk) // 2
+        requeued.extendleft([chunk[half:], chunk[:half]])
+        rec.inc("runner.chunk_splits")
+        rec.event("chunk.split", cells=len(chunk), cause=cause)
+        logger.warning(
+            "%s on chunk %s; splitting it in half",
+            cause, chunk_label([tasks[seq][0] for seq in chunk]),
+        )
+
+    def handle_crash(chunk: list[int], worker: _WorkerHandle) -> None:
         exitcode = worker.proc.exitcode
-        cell_id = tasks[seq][0]
-        attempts[seq] = attempts.get(seq, 0) + 1
+        seq = chunk[0]
+        if len(chunk) == 1:
+            attempts[seq] = attempts.get(seq, 0) + 1
+        cell_id = chunk_label([tasks[i][0] for i in chunk])
+        crash = dict(
+            worker=worker.id, exitcode=exitcode, cell_id=cell_id,
+            attempt=attempts.get(seq, 0),
+        )
         rec.inc("runner.worker_crashes")
-        rec.event(
-            "worker.crash",
-            worker=worker.id,
-            exitcode=exitcode,
-            cell_id=cell_id,
-            attempt=attempts[seq],
-        )
-        bus.publish(
-            "worker.crash",
-            worker=worker.id,
-            exitcode=exitcode,
-            cell_id=cell_id,
-            attempt=attempts[seq],
-        )
+        rec.event("worker.crash", **crash)
+        bus.publish("worker.crash", **crash)
+        if len(chunk) > 1:
+            split(chunk, f"worker {worker.id} died (exit {exitcode})")
+            return
         if attempts[seq] <= settings.max_retries:
             outcome.retries += 1
             rec.inc("runner.cell_retries")
@@ -620,18 +716,11 @@ def run_supervised(
                 f"system_factory() raised {message[2]}"
             )
         elif kind == "result":
-            _, _, seq, result, delta = message
+            _, _, results, delta = message
+            chunk, _ = worker.current
             worker.current = None
-            bus.publish(
-                "cell.finished",
-                worker=worker.id,
-                cell_id=result.cell_id,
-                seq=seq,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-                attempts=result.attempts,
-            )
+            for seq, result in zip(chunk, results):
+                publish_finished(bus, worker.id, seq, result)
             if delta is not None and rec.enabled:
                 try:
                     rec.metrics.merge_snapshot(delta)
@@ -640,14 +729,15 @@ def run_supervised(
                     rec.event(
                         "metrics.corrupt_payload",
                         worker=worker.id,
-                        cell_id=result.cell_id,
+                        cell_id=chunk_label([r.cell_id for r in results]),
                         error=type(exc).__name__,
                     )
                     logger.warning(
                         "discarding corrupt metrics payload from worker %d (%s: %s)",
                         worker.id, type(exc).__name__, exc,
                     )
-            finish(seq, result)
+            for seq, result in zip(chunk, results):
+                finish(seq, result)
 
     started_at = time.monotonic()
     deadline_at = started_at + settings.deadline if settings.deadline else None
@@ -656,7 +746,10 @@ def run_supervised(
         try:
             for _ in range(pool_size):
                 spawn()
-            while pending or retry_heap or any(w.current for w in workers.values()):
+            while (
+                pending or requeued or retry_heap
+                or any(w.current for w in workers.values())
+            ):
                 if fatal is not None:
                     break
                 now = time.monotonic()
@@ -669,55 +762,44 @@ def run_supervised(
                         outcome.interrupted = "deadline"
                     if outcome.interrupted:
                         draining = True
-                        dropped = len(pending) + len(retry_heap)
+                        dropped = len(pending) + len(retry_heap) + sum(map(len, requeued))
                         pending.clear()
+                        requeued.clear()
                         retry_heap.clear()
-                        rec.event(
-                            "campaign.interrupted",
-                            reason=outcome.interrupted,
-                            dropped_cells=dropped,
-                        )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=outcome.interrupted,
-                            dropped_cells=dropped,
-                        )
-                        logger.warning(
-                            "campaign interrupted (%s): %d cells not dispatched; "
-                            "draining %d in-flight",
+                        announce_interrupt(
                             outcome.interrupted,
                             dropped,
-                            sum(1 for w in workers.values() if w.current),
+                            sum(len(w.current[0]) for w in workers.values() if w.current),
                         )
 
                 # -- promote due retries ------------------------------
                 while retry_heap and retry_heap[0][0] <= now:
                     _, seq = heapq.heappop(retry_heap)
-                    pending.append(seq)
+                    requeued.append([seq])
 
                 # -- dispatch to idle, ready workers ------------------
                 for worker in workers.values():
-                    if not pending:
+                    if not (pending or requeued):
                         break
                     if not (worker.ready and worker.current is None and worker.proc.is_alive()):
                         continue
-                    seq = pending.popleft()
-                    cell_id, box, command, tags = tasks[seq]
+                    chunk = take_chunk()
+                    # Only fresh cells share a chunk; a retried cell goes alone.
+                    attempt = attempts.get(chunk[0], 0)
                     try:
-                        worker.conn.send(
-                            (seq, cell_id, box, command, tags, attempts.get(seq, 0))
-                        )
+                        worker.conn.send(([tasks[seq] for seq in chunk], attempt))
                     except (BrokenPipeError, OSError):
-                        pending.appendleft(seq)  # the liveness sweep reaps it
+                        requeued.appendleft(chunk)  # the liveness sweep reaps it
                         continue
-                    worker.current = (seq, now + hard_budget if hard_budget else None)
-                    bus.publish(
-                        "cell.dispatched",
-                        worker=worker.id,
-                        cell_id=cell_id,
-                        seq=seq,
-                        attempt=attempts.get(seq, 0),
-                    )
+                    worker.current = (chunk, now + hard_budget if hard_budget else None)
+                    for seq in chunk:
+                        bus.publish(
+                            "cell.dispatched",
+                            worker=worker.id,
+                            cell_id=tasks[seq][0],
+                            seq=seq,
+                            attempt=attempt,
+                        )
 
                 # -- wait for worker messages -------------------------
                 conns = {w.conn: w for w in workers.values()}
@@ -748,9 +830,9 @@ def run_supervised(
                     except (EOFError, OSError):
                         pass
                     if worker.current is not None:
-                        seq, _ = worker.current
+                        chunk, _ = worker.current
                         worker.current = None
-                        handle_crash(seq, worker)
+                        handle_crash(chunk, worker)
                     worker.conn.close()
                     worker.proc.join()
                     del workers[worker.id]
@@ -760,9 +842,12 @@ def run_supervised(
                 for worker in list(workers.values()):
                     if worker.current is None or worker.current[1] is None:
                         continue
-                    seq, kill_at = worker.current
+                    chunk, kill_at = worker.current
                     if now < kill_at:
                         continue
+                    # A kill deadline exists only under cell_timeout,
+                    # which dispatches one cell per chunk.
+                    (seq,) = chunk
                     cell_id = tasks[seq][0]
                     logger.warning(
                         "worker %d stuck on %s past the %.3gs budget; killing it",
@@ -796,7 +881,8 @@ def run_supervised(
                 # -- keep the pool at strength ------------------------
                 if not draining and fatal is None:
                     in_flight = sum(1 for w in workers.values() if w.current)
-                    needed = min(pool_size, len(pending) + len(retry_heap) + in_flight)
+                    queued = len(pending) + len(requeued) + len(retry_heap)
+                    needed = min(pool_size, queued + in_flight)
                     while len(workers) < needed:
                         spawn()
                         outcome.respawns += 1

@@ -29,7 +29,6 @@ Two thin containers ride on top of the raw kernels:
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "BoxBatch",
     "IntervalBatch",
     "babs",
-    "batching_enabled",
     "badd",
     "bdiv",
     "bhull",
@@ -61,15 +59,6 @@ __all__ = [
 
 ArrayLike = Union[np.ndarray, float, int]
 
-
-def batching_enabled() -> bool:
-    """Global kill switch for the batched hot paths.
-
-    ``REPRO_BATCHED=0`` forces every batched entry point (lockstep
-    verification, batched reach, batched flow) back onto the scalar
-    path — a diagnostics escape hatch, since both paths are bitwise
-    identical by construction."""
-    return os.environ.get("REPRO_BATCHED", "1") != "0"
 
 _TWO_PI = 2.0 * math.pi
 # Same one-ulp-down constant the scalar isin/icos use.

@@ -147,8 +147,12 @@ class Jet:
     def sin_cos(self) -> tuple["Jet", "Jet"]:
         """Simultaneous sine and cosine (they share one recurrence)."""
         n = self.order
-        s = [isin(self.coeffs[0])]
-        c = [icos(self.coeffs[0])]
+        u0 = self.coeffs[0]
+        if isinstance(u0, Interval):
+            s, c = [isin(u0)], [icos(u0)]
+        else:  # an IntervalBatch: the batched integrator's jets
+            sin0, cos0 = u0.sin_cos()
+            s, c = [sin0], [cos0]
         for k in range(1, n + 1):
             acc_s = _ZERO
             acc_c = _ZERO

@@ -1,28 +1,32 @@
-"""Scalar/batched equivalence of the reachability drivers.
+"""The lockstep driver against the per-state oracle.
 
 The SoA kernels promise bitwise-identical results, so these tests
 compare full driver outputs — verdicts, step counts, final symbolic
-sets down to the endpoint bytes — between the scalar per-state path
-and the batched/lockstep paths, plus the controller memo semantics the
-batched path shares with the scalar one.
+sets down to the endpoint bytes — between the test-only per-state loop
+(:mod:`tests.core.scalar_reach`) and the lockstep driver the program
+runs (:func:`~repro.core.reach.reach` is ``reach_many`` over one set),
+plus the controller memo semantics the batched path shares with the
+scalar one.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     ReachSettings,
+    RefinementPolicy,
     RunnerSettings,
     SymbolicSet,
     SymbolicState,
     reach,
     verify_partition,
 )
+from repro.core.checkpoint import _normalize_result_dict
 from repro.core.reach import reach_many
 from repro.intervals import Box
 from repro.obs import Recorder, use_recorder
 
 from .fixtures import make_system, runaway_network
+from .scalar_reach import scalar_reach, scalar_verify_cell
 
 
 def initial_set(lo: float = 2.0, hi: float = 2.2, command: int = 0) -> SymbolicSet:
@@ -43,33 +47,34 @@ def assert_same_result(a, b, check_counters: bool = True) -> None:
             assert sa.command == sb.command
             assert sa.box.lo.tobytes() == sb.box.lo.tobytes()
             assert sa.box.hi.tobytes() == sb.box.hi.tobytes()
+    assert len(a.tube) == len(b.tube)
+    for ta, tb in zip(a.tube, b.tube):
+        assert (ta.t_start, ta.t_end, ta.command) == (tb.t_start, tb.t_end, tb.command)
+        assert ta.box.lo.tobytes() == tb.box.lo.tobytes()
+        assert ta.box.hi.tobytes() == tb.box.hi.tobytes()
     if check_counters:
         assert a.joins_performed == b.joins_performed
         assert a.integrations == b.integrations
         assert a.controller_evaluations == b.controller_evaluations
 
 
+RECORD = ReachSettings(substeps=4, record_sets=True)
+
+
 class TestReachBatchStates:
     def test_regulated_loop_bitwise(self):
         system = make_system()
-        scalar = reach(system, initial_set(), ReachSettings(substeps=4, record_sets=True))
-        batched = reach(
-            system,
-            initial_set(),
-            ReachSettings(substeps=4, batch_states=True, record_sets=True),
+        assert_same_result(
+            scalar_reach(system, initial_set(), RECORD),
+            reach(system, initial_set(), RECORD),
         )
-        assert_same_result(scalar, batched)
 
     def test_unsafe_loop_bitwise(self):
         system = make_system(network=runaway_network(), error_bound=4.0)
-        scalar = reach(system, initial_set(), ReachSettings(substeps=4, record_sets=True))
-        batched = reach(
-            system,
-            initial_set(),
-            ReachSettings(substeps=4, batch_states=True, record_sets=True),
-        )
-        assert batched.verdict == scalar.verdict
-        assert_same_result(scalar, batched)
+        oracle = scalar_reach(system, initial_set(), RECORD)
+        lockstep = reach(system, initial_set(), RECORD)
+        assert oracle.verdict.name == "POSSIBLY_UNSAFE"
+        assert_same_result(oracle, lockstep)
 
     def test_multi_state_initial_set(self):
         system = make_system()
@@ -80,22 +85,10 @@ class TestReachBatchStates:
                 SymbolicState(Box([0.5], [0.6]), 0),
             ]
         )
-        scalar = reach(system, multi.copy(), ReachSettings(substeps=4, record_sets=True))
-        batched = reach(
-            system, multi.copy(), ReachSettings(substeps=4, batch_states=True, record_sets=True)
+        assert_same_result(
+            scalar_reach(system, multi.copy(), RECORD),
+            reach(system, multi.copy(), RECORD),
         )
-        assert_same_result(scalar, batched)
-
-    def test_env_kill_switch_forces_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        system = make_system()
-        batched_off = reach(
-            system,
-            initial_set(),
-            ReachSettings(substeps=4, batch_states=True, record_sets=True),
-        )
-        scalar = reach(system, initial_set(), ReachSettings(substeps=4, record_sets=True))
-        assert_same_result(scalar, batched_off)
 
 
 class TestReachMany:
@@ -106,20 +99,17 @@ class TestReachMany:
             initial_set(-2.2, -2.0, command=1),
             initial_set(3.0, 3.1),
         ]
-        settings = ReachSettings(substeps=4, record_sets=True)
-        scalars = [reach(system, s.copy(), settings) for s in initials]
-        batched = reach_many(
-            system, [s.copy() for s in initials], settings
-        )
-        assert len(batched) == len(scalars)
-        for a, b in zip(scalars, batched):
+        oracles = [scalar_reach(system, s.copy(), RECORD) for s in initials]
+        batched = reach_many(system, [s.copy() for s in initials], RECORD)
+        assert len(batched) == len(oracles)
+        for a, b in zip(oracles, batched):
             assert_same_result(a, b, check_counters=True)
 
     def test_early_exit_counts_controller_evaluations(self):
         # A wave where one state goes unsafe while another state of the
-        # same cell has already been processed: the scalar path evaluates
-        # the controller for the earlier state before returning, and the
-        # wave driver must count the same work.
+        # same cell has already been processed: the per-state loop
+        # evaluates the controller for the earlier state before
+        # returning, and the wave driver must count the same work.
         system = make_system(network=runaway_network(), error_bound=4.0)
         multi = SymbolicSet(
             [
@@ -128,49 +118,37 @@ class TestReachMany:
             ]
         )
         settings = ReachSettings(substeps=4)
-        scalar = reach(system, multi.copy(), settings)
+        oracle = scalar_reach(system, multi.copy(), settings)
         [batched] = reach_many(system, [multi.copy()], settings)
-        assert scalar.verdict.name == "POSSIBLY_UNSAFE"
-        assert_same_result(scalar, batched, check_counters=True)
+        assert oracle.verdict.name == "POSSIBLY_UNSAFE"
+        assert_same_result(oracle, batched, check_counters=True)
 
 
 class TestLockstepPartition:
     CELLS = [
         (Box([2.0], [2.2]), 0, {"kind": "regulated"}),
         (Box([-2.2], [-2.0]), 1, {"kind": "mirror"}),
-        (Box([4.4], [4.6]), 0, {"kind": "near-error"}),
+        (Box([4.0], [4.8]), 0, {"kind": "near-error"}),
         (Box([0.2], [0.4]), 0, {"kind": "inside-target"}),
     ]
 
     def test_batch_cells_matches_scalar(self):
-        scalar = verify_partition(
-            make_system,
-            self.CELLS,
-            RunnerSettings(reach=ReachSettings(substeps=4), workers=1),
+        """The wave driver (all cells and their refinement children in
+        shared waves) builds the same result trees as a depth-first
+        per-state recursion, counters included."""
+        system = make_system(horizon_steps=3)
+        settings = RunnerSettings(
+            reach=ReachSettings(substeps=4),
+            refinement=RefinementPolicy(dims=(0,), max_depth=2),
         )
-        lockstep = verify_partition(
-            make_system,
-            self.CELLS,
-            RunnerSettings(
-                reach=ReachSettings(substeps=4), workers=1, batch_cells=True
-            ),
-        )
-        assert len(scalar.cells) == len(lockstep.cells)
-        for a, b in zip(scalar.cells, lockstep.cells):
-            assert a.cell_id == b.cell_id
-            assert a.verdict == b.verdict
-            assert a.box.lo.tobytes() == b.box.lo.tobytes()
-            assert a.box.hi.tobytes() == b.box.hi.tobytes()
-            assert a.tags.get("kind") == b.tags.get("kind")
-        assert scalar.coverage_percent() == lockstep.coverage_percent()
-
-    def test_batch_cells_rejects_budgets_and_workers(self):
-        with pytest.raises(ValueError):
-            RunnerSettings(workers=2, batch_cells=True)
-        with pytest.raises(ValueError):
-            RunnerSettings(cell_timeout=1.0, batch_cells=True)
-        with pytest.raises(ValueError):
-            RunnerSettings(deadline=1.0, batch_cells=True)
+        report = verify_partition(lambda: system, self.CELLS, settings)
+        assert any(cell.children for cell in report.cells)
+        for i, ((box, command, tags), cell) in enumerate(zip(self.CELLS, report.cells)):
+            oracle = scalar_verify_cell(system, box, command, settings, f"cell-{i}")
+            oracle.tags.update(tags)
+            assert _normalize_result_dict(cell.to_dict()) == _normalize_result_dict(
+                oracle.to_dict()
+            )
 
 
 class TestControllerMemo:

@@ -130,20 +130,6 @@ class TestSettingsValidation:
     programmatic construction and the CLI (which catches the ValueError
     and maps it to exit 2) must reject the same combinations."""
 
-    def test_batch_cells_rejects_parallel_pool(self):
-        with pytest.raises(ValueError, match="workers == 1"):
-            RunnerSettings(workers=2, batch_cells=True)
-
-    def test_batch_cells_rejects_wallclock_budgets(self):
-        with pytest.raises(ValueError, match="cell_timeout/deadline"):
-            RunnerSettings(batch_cells=True, cell_timeout=1.0)
-        with pytest.raises(ValueError, match="cell_timeout/deadline"):
-            RunnerSettings(batch_cells=True, deadline=60.0)
-
-    def test_batch_cells_compatible_combo_accepted(self):
-        settings = RunnerSettings(workers=1, batch_cells=True)
-        assert settings.batch_cells
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -1,21 +1,30 @@
 """The supervised pool: budget guards, crash retry/quarantine, worker
-kills, campaign deadlines, and the fault-tolerant serial path."""
+kills, campaign deadlines, chunk dispatch and crash bisection, and the
+fault-tolerant serial path."""
 
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core import (
     BudgetExceeded,
+    DistributedSettings,
+    RefinementPolicy,
     RunnerSettings,
     Verdict,
     budget_guard,
+    canonical_journal_bytes,
     grid_partition,
     run_cell_guarded,
+    run_distributed,
     run_supervised,
     verify_partition,
+    verify_partition_checkpointed,
 )
+from repro.core.checkpoint import _normalize_result_dict
+from repro.core.supervisor import chunk_size
 from repro.intervals import Box
 from repro.obs import Recorder, use_recorder
 from repro.testing import injected_faults
@@ -299,3 +308,100 @@ class TestPoolTelemetry:
         tasks = [("cell-0", Box([2.0], [2.2]), 1, {})]
         outcome = run_supervised(make_system, tasks, RunnerSettings(workers=2))
         assert outcome.results[0].proved
+
+
+class TestChunkDispatch:
+    """A pool of one worker takes all eight cells as one chunk; a crash
+    bisects the chunk down to the crashing cell, and only that cell
+    burns attempts."""
+
+    def eight_cells(self):
+        return cells_for(grid_partition(Box([1.6], [2.4]), [8]))
+
+    def refined(self):
+        # Cell 7 reaches only SAFE_WITHIN_HORIZON and gets refined.
+        cells = cells_for(grid_partition(Box([1.6], [4.8]), [8]))
+        settings = RunnerSettings(refinement=RefinementPolicy(dims=(0,), max_depth=1))
+        return (lambda: make_system(horizon_steps=3)), cells, settings
+
+    def test_chunk_sizing_rule(self):
+        plain, budgeted = RunnerSettings(), RunnerSettings(deadline=60.0)
+        assert chunk_size(8, 1, plain) == 8
+        assert chunk_size(8, 2, plain) == 4
+        assert chunk_size(7, 3, plain) == 3
+        assert chunk_size(1, 2, plain) == 1
+        assert chunk_size(8, 1, budgeted) == 1
+        assert chunk_size(8, 1, RunnerSettings(cell_timeout=5.0)) == 1
+
+    def test_crash_once_bisects_then_retries_the_cell(self):
+        settings = RunnerSettings(workers=1, max_retries=1, retry_backoff=0.01)
+        tasks = [(f"cell-{i}", box, cmd, {}) for i, (box, cmd) in enumerate(self.eight_cells())]
+        with use_recorder(Recorder()) as rec:
+            with injected_faults("crash:cell-3"):
+                outcome = run_supervised(make_system, tasks, settings)
+            # 8 -> 4 -> 2 -> 1 cells, then the lone cell-3 crashes once.
+            assert rec.metrics.counters["runner.chunk_splits"] == 3
+            assert rec.metrics.counters["runner.cell_retries"] == 1
+        results = [outcome.results[i] for i in range(8)]
+        assert all(r.verdict is Verdict.PROVED_SAFE for r in results)
+        assert results[3].attempts == 2
+        assert all(r.attempts == 1 for i, r in enumerate(results) if i != 3)
+
+    def test_crash_always_quarantines_only_that_cell(self):
+        settings = RunnerSettings(workers=1, max_retries=1, retry_backoff=0.01)
+        tasks = [(f"cell-{i}", box, cmd, {}) for i, (box, cmd) in enumerate(self.eight_cells())]
+        with injected_faults("crash:cell-3:*"):
+            outcome = run_supervised(make_system, tasks, settings)
+        verdicts = {outcome.results[i].cell_id: outcome.results[i].verdict for i in range(8)}
+        assert verdicts.pop("cell-3") is Verdict.ABORTED
+        assert set(verdicts.values()) == {Verdict.PROVED_SAFE}
+        assert outcome.results[3].tags["failure"]["kind"] == "crash"
+
+    def test_exception_in_chunk_bisects_in_process(self):
+        """In process, a raising chunk is split until the raising cell
+        is alone; the other cells keep their organic verdicts."""
+        system = make_system()
+        chunk = [(f"cell-{i}", box, cmd, {}) for i, (box, cmd) in enumerate(self.eight_cells())]
+        chunk[5] = ("cell-5", Box([2.0], [2.2]), 99, {})  # no such command
+        results = run_cell_guarded(system, chunk, RunnerSettings())
+        assert [r.cell_id for r in results] == [f"cell-{i}" for i in range(8)]
+        assert results[5].verdict is Verdict.ABORTED
+        assert all(r.proved for i, r in enumerate(results) if i != 5)
+
+    def test_chunked_pool_matches_serial_wave_driver(self):
+        factory, cells, settings = self.refined()
+        serial = verify_partition(factory, cells, settings)
+        pooled = verify_partition(factory, cells, replace(settings, workers=2))
+        one_worker_pool = run_supervised(
+            factory,
+            [(f"cell-{i}", box, cmd, {}) for i, (box, cmd) in enumerate(cells)],
+            settings,
+        )
+        assert any(cell.children for cell in serial.cells)
+        for trees in (pooled.cells, [one_worker_pool.results[i] for i in range(8)]):
+            for a, b in zip(serial.cells, trees):
+                assert _normalize_result_dict(a.to_dict()) == _normalize_result_dict(
+                    b.to_dict()
+                )
+
+    def test_journal_bytes_identical_across_modes(self, tmp_path):
+        factory, cells, settings = self.refined()
+        journals = []
+        for name, workers in (("serial", 1), ("pool", 2)):
+            journal = tmp_path / f"{name}.jsonl"
+            verify_partition_checkpointed(
+                factory, cells, journal, replace(settings, workers=workers)
+            )
+            journals.append(canonical_journal_bytes(journal))
+        journal = tmp_path / "distributed.jsonl"
+        run_distributed(
+            factory,
+            cells,
+            journal,
+            settings=settings,
+            dist=DistributedSettings(num_shards=4, expected_nodes=2, lease_timeout=5.0),
+            nodes=2,
+        )
+        journals.append(canonical_journal_bytes(journal))
+        assert journals[0]
+        assert journals[0] == journals[1] == journals[2]

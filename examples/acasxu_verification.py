@@ -18,10 +18,10 @@ Run:  python examples/acasxu_verification.py [--arcs N] [--headings M]
 """
 
 import argparse
-import sys
 
 from repro.core import ReachSettings, RefinementPolicy, RunnerSettings
 from repro.experiments import ExperimentConfig, render_report, run_experiment
+from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, use_bus
 
 
 def main() -> None:
@@ -56,11 +56,13 @@ def main() -> None:
           f"({args.arcs} arcs x {args.headings} headings), "
           f"refinement depth {args.depth}, {args.workers} workers ...")
 
-    def progress(done: int, total: int) -> None:
-        if done % max(total // 10, 1) == 0 or done == total:
-            print(f"  {done}/{total}", file=sys.stderr)
-
-    report = run_experiment(config, progress=progress)
+    # Every campaign publishes its progress on the telemetry bus; a
+    # snapshot folds the events and the display prints it to stderr.
+    bus = TelemetryBus(heartbeat_interval=None)
+    snapshot = CampaignSnapshot("example").attach(bus)
+    CampaignProgress(snapshot, min_interval=5.0).attach(bus)
+    with use_bus(bus):
+        report = run_experiment(config)
     print()
     print(render_report(report))
     report.to_json(args.out)

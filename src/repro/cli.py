@@ -26,6 +26,7 @@ disables), which is what ``report`` and ``compare`` read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -93,6 +94,65 @@ def _teardown_observability(args: argparse.Namespace, recorder) -> None:
         print(f"trace written to {args.trace_out}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _campaign_telemetry(args: argparse.Namespace, kind: str):
+    """Observability for one campaign command (``verify``,
+    ``coordinate``); yields ``(run_id, recorder, live)``.
+
+    Metrics are always on: the end-of-run summary (p95 cell time) is
+    sourced from them; without ``--trace-out`` no trace file is
+    written. A :class:`repro.obs.TelemetryBus` with a
+    :class:`repro.obs.CampaignSnapshot` is always installed, and the
+    one-line stderr progress display renders that snapshot.
+    ``--no-live`` only skips the status files and the metrics server
+    (``live`` is then None).
+    """
+    from .obs import (
+        CampaignProgress,
+        CampaignSnapshot,
+        LiveTelemetry,
+        Recorder,
+        TelemetryBus,
+        TelemetrySettings,
+        new_run_id,
+        set_recorder,
+        use_bus,
+    )
+
+    recorder = _setup_observability(args)
+    if not recorder.enabled:
+        recorder = Recorder()
+        set_recorder(recorder)
+    # Mint the run id before the campaign so the live-status directory
+    # (.repro/live/<run-id>/) and the ledger record share one name.
+    run_id = new_run_id(kind)
+    settings = TelemetrySettings(
+        interval=args.live_interval, root=args.live_dir, metrics_port=args.metrics_port
+    )
+    live = None
+    if not args.no_live:
+        try:
+            live = LiveTelemetry(run_id, settings, recorder=recorder)
+        except OSError as error:
+            # A read-only checkout must not stop a verification run.
+            print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
+    if live is None:
+        bus = TelemetryBus(heartbeat_interval=settings.interval)
+        snapshot = CampaignSnapshot(run_id, settings).attach(bus)
+        scope = use_bus(bus)
+    else:
+        bus, snapshot, scope = live.bus, live.snapshot, live
+        print(f"live status: {live.status_path} (`repro watch {run_id}`)",
+              file=sys.stderr)
+        if live.server is not None:
+            print(f"metrics endpoint: {live.server.url} "
+                  "(/status.json, /metrics)", file=sys.stderr)
+    CampaignProgress(snapshot).attach(bus)
+    with scope:
+        yield run_id, recorder, live
+    _teardown_observability(args, recorder)
+
+
 def _append_ledger(args: argparse.Namespace, record) -> None:
     """Append ``record`` to the run ledger (best-effort: a full disk or
     read-only checkout must never fail the run itself)."""
@@ -148,27 +208,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import contextlib
     import time
 
     from .core import ReachSettings, RefinementPolicy, RunnerSettings
     from .experiments import ExperimentConfig, render_report, run_experiment
-    from .obs import (
-        CampaignProgress,
-        LiveTelemetry,
-        Recorder,
-        TelemetrySettings,
-        new_run_id,
-        set_recorder,
-    )
-
-    recorder = _setup_observability(args)
-    if not recorder.enabled:
-        # Metrics are always on for `verify`: the end-of-run summary
-        # (verdicts, p95 cell time) is sourced from them. Without
-        # --trace-out no trace file is written.
-        recorder = Recorder()
-        set_recorder(recorder)
+    from .obs import record_from_report
 
     # Settings validation lives in RunnerSettings.__post_init__ — one
     # authority for the CLI and programmatic callers alike. The CLI's
@@ -198,109 +242,76 @@ def cmd_verify(args: argparse.Namespace) -> int:
         runner=runner,
     )
 
-    # Mint the run id before the campaign so the live-status directory
-    # (.repro/live/<run-id>/) and the ledger record share one name.
-    run_id = new_run_id("verify")
-    live: LiveTelemetry | None = None
-    if not args.no_live:
-        try:
-            live = LiveTelemetry(
-                run_id,
-                TelemetrySettings(
-                    interval=args.live_interval,
-                    root=args.live_dir,
-                    metrics_port=args.metrics_port,
-                ),
-                recorder=recorder,
-            )
-        except OSError as error:
-            # A read-only checkout must not stop a verification run.
-            print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
-            live = None
-
-    progress = CampaignProgress(stream=sys.stderr)
-    if live is not None:
-        progress.stalled_provider = live.snapshot.stalled_count
-        print(f"live status: {live.status_path} (`repro watch {run_id}`)",
-              file=sys.stderr)
-        if live.server is not None:
-            print(f"metrics endpoint: {live.server.url} "
-                  "(/status.json, /metrics)", file=sys.stderr)
-    started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
+    with _campaign_telemetry(args, "verify") as (run_id, recorder, live):
+        started = time.perf_counter()
         if args.distributed is not None:
-            report = _run_distributed_experiment(config, args, run_id, progress)
+            report = _run_distributed_experiment(config, args, run_id)
         else:
-            report = run_experiment(config, progress=progress)
-    wall = time.perf_counter() - started
-    print(render_report(report))
+            report = run_experiment(config, journal=args.journal)
+        wall = time.perf_counter() - started
+        print(render_report(report))
 
-    cell_hist = recorder.metrics.histograms.get("cell.seconds")
-    print("\nrun summary:")
-    verdict_line = (
-        f"  cells: {progress.proved} proved, {progress.unproved} unproved, "
-        f"{progress.witnessed} witnessed"
-    )
-    if progress.aborted:
-        verdict_line += f", {progress.aborted} aborted"
-    if progress.timed_out:
-        verdict_line += f", {progress.timed_out} timed-out"
-    print(f"{verdict_line} (of {report.total_cells})")
-    interrupted = report.settings_summary.get("interrupted")
-    if interrupted:
-        print(f"  INTERRUPTED ({interrupted}): partial report — "
-              "finished cells only")
-    dist = report.settings_summary.get("distributed")
-    if dist:
-        pool = f"{dist['nodes']} nodes x {dist['workers_per_node']} workers"
-    else:
-        pool = f"{args.workers} workers"
-    print(f"  wall time: {wall:.2f}s ({pool})")
-    if cell_hist is not None and cell_hist.count:
-        print(
-            f"  cell time: p50 {cell_hist.p50:.3f}s, p95 {cell_hist.p95:.3f}s, "
-            f"max {cell_hist.max_value:.3f}s over {cell_hist.count} reach runs"
+        cell_hist = recorder.metrics.histograms.get("cell.seconds")
+        counts = report.verdict_counts()
+        print("\nrun summary:")
+        verdict_line = (
+            f"  cells: {counts['proved']} proved, {counts['unproved']} unproved, "
+            f"{counts['witnessed']} witnessed"
         )
-    if args.out:
-        report.to_json(args.out)
-        print(f"\nreport written to {args.out}")
+        for cls in ("aborted", "timed-out"):
+            if counts[cls]:
+                verdict_line += f", {counts[cls]} {cls}"
+        print(f"{verdict_line} (of {report.total_cells})")
+        interrupted = report.settings_summary.get("interrupted")
+        if interrupted:
+            print(f"  INTERRUPTED ({interrupted}): partial report — "
+                  "finished cells only")
+        dist = report.settings_summary.get("distributed")
+        if dist:
+            pool = f"{dist['nodes']} nodes x {dist['workers_per_node']} workers"
+        else:
+            pool = f"{args.workers} workers"
+        print(f"  wall time: {wall:.2f}s ({pool})")
+        if cell_hist is not None and cell_hist.count:
+            print(
+                f"  cell time: p50 {cell_hist.p50:.3f}s, p95 {cell_hist.p95:.3f}s, "
+                f"max {cell_hist.max_value:.3f}s over {cell_hist.count} reach runs"
+            )
+        if args.out:
+            report.to_json(args.out)
+            print(f"\nreport written to {args.out}")
 
-    from .obs import record_from_report
-
-    extra = {
-        key: value
-        for key, value in (
-            ("trace", args.trace_out),
-            ("metrics", args.metrics_out),
-            ("report", args.out),
+        extra = {
+            key: value
+            for key, value in (
+                ("trace", args.trace_out),
+                ("metrics", args.metrics_out),
+                ("report", args.out),
+            )
+            if value
+        }
+        if live is not None:
+            extra["live_status"] = str(live.status_path)
+        record = record_from_report(
+            report,
+            kind="verify",
+            run_id=run_id,
+            config={
+                "scenario": args.scenario,
+                "arcs": args.arcs,
+                "headings": args.headings,
+                "depth": args.depth,
+                "substeps": args.substeps,
+                "gamma": args.gamma,
+                "workers": args.workers,
+                "cell_timeout": args.cell_timeout,
+                "deadline": args.deadline,
+                "max_retries": args.max_retries,
+            },
+            wall_seconds=wall,
+            extra=extra,
         )
-        if value
-    }
-    if live is not None:
-        extra["live_status"] = str(live.status_path)
-    record = record_from_report(
-        report,
-        kind="verify",
-        run_id=run_id,
-        config={
-            "scenario": args.scenario,
-            "arcs": args.arcs,
-            "headings": args.headings,
-            "depth": args.depth,
-            "substeps": args.substeps,
-            "gamma": args.gamma,
-            "workers": args.workers,
-            "cell_timeout": args.cell_timeout,
-            "deadline": args.deadline,
-            "max_retries": args.max_retries,
-        },
-        wall_seconds=wall,
-        extra=extra,
-    )
-    _append_ledger(args, record)
-    _teardown_observability(args, recorder)
+        _append_ledger(args, record)
     return 0
 
 
@@ -322,7 +333,7 @@ def _distributed_journal(args: argparse.Namespace, run_id: str) -> str:
     return os.path.join(".repro", "distributed", f"{run_id}.jsonl")
 
 
-def _run_distributed_experiment(config, args, run_id: str, progress):
+def _run_distributed_experiment(config, args, run_id: str):
     """The `verify --distributed` body: same partition, same report
     decoration as :func:`repro.experiments.run_experiment`, but run by
     a loopback coordinator with forked node agents."""
@@ -343,7 +354,6 @@ def _run_distributed_experiment(config, args, run_id: str, progress):
         ),
         nodes=nodes,
         workers_per_node=args.workers,
-        progress=progress,
     )
     report.system_name = f"acasxu/{config.name}"
     report.settings_summary["num_arcs"] = config.num_arcs
@@ -353,7 +363,6 @@ def _run_distributed_experiment(config, args, run_id: str, progress):
 
 def cmd_coordinate(args: argparse.Namespace) -> int:
     """Listen for node agents and drive one distributed campaign."""
-    import contextlib
     import time
 
     from .acasxu import initial_cells
@@ -365,20 +374,8 @@ def cmd_coordinate(args: argparse.Namespace) -> int:
         RunnerSettings,
     )
     from .experiments import render_report
-    from .obs import (
-        CampaignProgress,
-        LiveTelemetry,
-        Recorder,
-        TelemetrySettings,
-        new_run_id,
-        record_from_report,
-        set_recorder,
-    )
+    from .obs import record_from_report
 
-    recorder = _setup_observability(args)
-    if not recorder.enabled:
-        recorder = Recorder()
-        set_recorder(recorder)
     try:
         runner = RunnerSettings(
             reach=ReachSettings(
@@ -396,65 +393,41 @@ def cmd_coordinate(args: argparse.Namespace) -> int:
         )
         return 2
 
-    run_id = new_run_id("coordinate")
-    cells = initial_cells(args.arcs, args.headings)
-    coordinator = Coordinator(
-        cells,
-        _distributed_journal(args, run_id),
-        settings=runner,
-        dist=DistributedSettings(
-            listen=args.listen,
-            num_shards=args.num_shards,
-            expected_nodes=args.nodes,
-            lease_timeout=args.lease_timeout,
-        ),
-        progress=CampaignProgress(stream=sys.stderr),
-    )
-    host, port = coordinator.start()
-    print(f"coordinator listening on {host}:{port} "
-          f"(connect node agents with `repro node --connect {host}:{port}`)",
-          file=sys.stderr)
-
-    live: LiveTelemetry | None = None
-    if not args.no_live:
-        try:
-            live = LiveTelemetry(
-                run_id,
-                TelemetrySettings(
-                    interval=args.live_interval,
-                    root=args.live_dir,
-                    metrics_port=args.metrics_port,
-                ),
-                recorder=recorder,
-            )
-            print(f"live status: {live.status_path} (`repro watch {run_id}`)",
-                  file=sys.stderr)
-        except OSError as error:
-            print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
-
-    started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
+    with _campaign_telemetry(args, "coordinate") as (run_id, _recorder, _live):
+        coordinator = Coordinator(
+            initial_cells(args.arcs, args.headings),
+            _distributed_journal(args, run_id),
+            settings=runner,
+            dist=DistributedSettings(
+                listen=args.listen,
+                num_shards=args.num_shards,
+                expected_nodes=args.nodes,
+                lease_timeout=args.lease_timeout,
+            ),
+        )
+        host, port = coordinator.start()
+        print(f"coordinator listening on {host}:{port} "
+              f"(connect node agents with `repro node --connect {host}:{port}`)",
+              file=sys.stderr)
+        started = time.perf_counter()
         report = coordinator.serve()
-    print(render_report(report))
-    stats = report.settings_summary["distributed"]
-    print(f"\nnodes: {', '.join(stats['nodes_seen']) or 'none'}")
-    print(f"grants: {stats['grants']}, expired leases: "
-          f"{stats['expired_leases']}, stolen cells: {stats['stolen_cells']}, "
-          f"fenced frames: {stats['fenced_frames']}")
-    if args.out:
-        report.to_json(args.out)
-        print(f"\nreport written to {args.out}")
-    record = record_from_report(
-        report,
-        kind="coordinate",
-        run_id=run_id,
-        wall_seconds=time.perf_counter() - started,
-        extra={"journal": str(coordinator.journal_path)},
-    )
-    _append_ledger(args, record)
-    _teardown_observability(args, recorder)
+        print(render_report(report))
+        stats = report.settings_summary["distributed"]
+        print(f"\nnodes: {', '.join(stats['nodes_seen']) or 'none'}")
+        print(f"grants: {stats['grants']}, expired leases: "
+              f"{stats['expired_leases']}, stolen cells: {stats['stolen_cells']}, "
+              f"fenced frames: {stats['fenced_frames']}")
+        if args.out:
+            report.to_json(args.out)
+            print(f"\nreport written to {args.out}")
+        record = record_from_report(
+            report,
+            kind="coordinate",
+            run_id=run_id,
+            wall_seconds=time.perf_counter() - started,
+            extra={"journal": str(coordinator.journal_path)},
+        )
+        _append_ledger(args, record)
     return 0
 
 
@@ -1023,8 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--journal", metavar="PATH",
-        help="with --distributed: checkpoint journal path (default "
-        ".repro/distributed/<run-id>.jsonl); an existing journal resumes",
+        help="checkpoint journal path; an existing journal resumes "
+        "(--distributed defaults to .repro/distributed/<run-id>.jsonl)",
     )
     p_verify.add_argument(
         "--num-shards", type=int, default=None, metavar="K",
@@ -1045,7 +1018,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--no-live", action="store_true",
-        help="disable live telemetry (heartbeats and .repro/live status files)",
+        help="skip the .repro/live status files and the metrics server "
+        "(the progress line stays)",
     )
     p_verify.add_argument(
         "--live-interval", type=float, default=1.0, metavar="SECONDS",
@@ -1111,7 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coord.add_argument(
         "--no-live", action="store_true",
-        help="disable live telemetry (.repro/live status files)",
+        help="skip the .repro/live status files and the metrics server "
+        "(the progress line stays)",
     )
     p_coord.add_argument(
         "--live-interval", type=float, default=1.0, metavar="SECONDS",

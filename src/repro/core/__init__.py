@@ -6,7 +6,6 @@ from .checkpoint import (
     canonical_journal_bytes,
     load_journal,
     load_lease_records,
-    verify_partition_checkpointed,
 )
 from .compose import StateView, SynchronousProductController
 from .coordinator import (
@@ -106,5 +105,4 @@ __all__ = [
     "verify_cell",
     "verify_cells",
     "verify_partition",
-    "verify_partition_checkpointed",
 ]

@@ -1,24 +1,20 @@
-"""Checkpointed partition verification for long campaigns.
+"""The checkpoint journal: resumable campaigns.
 
 The paper's full experiment ran for ~12 days; any run at that scale
-needs to survive interruption. :func:`verify_partition_checkpointed`
-wraps the partition drivers with an append-only JSON-lines journal:
-each finished cell is written as soon as it comes back, and a restart
-skips every cell already journaled (validated against the cell
-geometry, so a changed partition invalidates stale entries).
+needs to survive interruption. A campaign given a journal path
+(:func:`~repro.core.runner.verify_partition` with ``journal=``, and
+every distributed campaign) appends each finished cell to an
+append-only JSON-lines file as soon as it comes back, and a restart
+replays the journal (:func:`replay_journal`) and skips every cell
+already in it, matched by cell geometry and command, so a changed
+partition invalidates stale entries.
 
-The execution layer is the same chunk executor as
-:func:`~repro.core.runner.verify_partition`
-(:func:`~repro.core.runner.run_cells`): the uncached cells run in
-lockstep chunks, in this process or on the supervised pool, so worker
-crashes, per-cell budgets, the campaign deadline and SIGINT/SIGTERM
-draining all compose with resumability. Cells come back when their
-chunk finishes: an unbudgeted single-worker run verifies all its cells
-as one chunk, so set a budget or use more workers when a crash must
-cost less than the whole run. Quarantined cells (``ABORTED`` /
-``TIMED_OUT``) are deliberately *not* journaled: a restarted campaign
-retries them instead of trusting a verdict that only says "something
-went wrong last time".
+Cells come back when their chunk finishes: an unbudgeted
+single-worker run verifies all its cells as one chunk, so set a
+budget or use more workers when a crash must cost less than the whole
+run. Quarantined cells (``ABORTED`` / ``TIMED_OUT``) are deliberately
+*not* journaled: a restarted campaign retries them instead of
+trusting a verdict that only says "something went wrong last time".
 """
 
 from __future__ import annotations
@@ -26,16 +22,14 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..intervals import Box
 from ..obs import get_recorder
 from ..obs.live import get_bus
 from ..testing.faults import get_fault_injector
-from .result import CellResult, VerificationReport
-from .runner import RunnerSettings, _notify_progress, _settings_summary, run_cells
+from .result import CellResult
 
 logger = logging.getLogger("repro.core.checkpoint")
 
@@ -92,8 +86,52 @@ def load_journal(path: str | Path) -> dict[str, CellResult]:
     return finished
 
 
+def replay_journal(
+    path: str | Path, keys: Sequence[str], tags: Sequence[dict]
+) -> dict[int, CellResult]:
+    """The cells of a partition already finished in the journal at
+    ``path``, by partition index.
+
+    ``keys[i]`` is cell ``i``'s :func:`_cell_key` and ``tags[i]`` its
+    tags, merged into the cached result. Each cached cell is counted
+    (``checkpoint.cells_skipped``) and published as ``cell.finished``
+    with ``worker=None`` and ``cached=True``, so snapshot consumers
+    can tell it from a verified one; a non-empty journal also records
+    a ``journal.resume`` event.
+    """
+    finished = load_journal(path)
+    rec = get_recorder()
+    bus = get_bus()
+    cached: dict[int, CellResult] = {}
+    for i, key in enumerate(keys):
+        result = finished.get(key)
+        if result is None:
+            continue
+        result.tags.update(tags[i])
+        cached[i] = result
+        rec.inc("checkpoint.cells_skipped")
+        bus.publish(
+            "cell.finished",
+            worker=None,
+            cell_id=f"cell-{i}",
+            seq=i,
+            verdict=result.verdict.value,
+            verdict_class=result.verdict_class(),
+            elapsed=0.0,
+            cached=True,
+        )
+    if finished:
+        rec.event("journal.resume", path=str(path), finished_cells=len(finished))
+        logger.info(
+            "resumed from %s: %d/%d cells skipped", path, len(cached), len(keys)
+        )
+    return cached
+
+
 class _JournalWriter:
-    """Appends finished cells to the journal as they arrive.
+    """Appends finished cells to the journal at ``path`` as they
+    arrive (a context manager; the file and its directory are created
+    on demand).
 
     Quarantined results are skipped (see module docs). The torn-write
     fault (``torn-journal`` in :mod:`repro.testing.faults`) truncates an
@@ -102,10 +140,18 @@ class _JournalWriter:
     process's first append would.
     """
 
-    def __init__(self, handle, fsync: bool):
-        self.handle = handle
+    def __init__(self, path: str | Path, fsync: bool):
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.handle = open(path, "a")
         self.fsync = fsync
         self._torn_pending = False
+
+    def __enter__(self) -> "_JournalWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
 
     def append(
         self, key: str, result: CellResult, extra: dict | None = None
@@ -211,122 +257,3 @@ def canonical_journal_bytes(path: str | Path) -> bytes:
         for key in sorted(finished)
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def verify_partition_checkpointed(
-    system_factory: Callable[[], object],
-    cells: Sequence[tuple],
-    journal_path: str | Path,
-    settings: RunnerSettings | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fsync: bool = False,
-) -> VerificationReport:
-    """Like :func:`~repro.core.runner.verify_partition`, resumable.
-
-    Cells found in the journal are reused verbatim; the rest are
-    verified in chunks by :func:`~repro.core.runner.run_cells` and
-    journaled as soon as their chunk finishes.
-    Quarantined cells are excluded from the journal so a restart
-    retries them. After an interruption (deadline or SIGINT/SIGTERM)
-    the report covers only the finished cells and
-    ``settings_summary["interrupted"]`` names the reason; otherwise the
-    report covers every requested cell, in partition order.
-
-    With ``fsync=True`` every appended entry is fsync'd to stable
-    storage before the next one — slower, but a power loss can then
-    cost at most the in-flight chunks.
-    """
-    settings = settings or RunnerSettings()
-    rec = get_recorder()
-    run_started = time.perf_counter()
-    journal_path = Path(journal_path)
-    journal_path.parent.mkdir(parents=True, exist_ok=True)
-    finished = load_journal(journal_path)
-    if finished:
-        rec.event(
-            "journal.resume", path=str(journal_path), finished_cells=len(finished)
-        )
-
-    keys: list[str] = []
-    parsed: list[tuple[Box, int, dict]] = []
-    for cell in cells:
-        box, command = cell[0], cell[1]
-        tags = dict(cell[2]) if len(cell) > 2 else {}
-        parsed.append((box, command, tags))
-        keys.append(_cell_key(box, command))
-
-    total = len(parsed)
-    done = 0
-    skipped = 0
-    interrupted: str | None = None
-    results: dict[int, CellResult] = {}
-    bus = get_bus()
-    bus.publish(
-        "campaign.started", total=total, workers=settings.workers, pid=os.getpid()
-    )
-
-    def notify(result: CellResult) -> None:
-        nonlocal done
-        done += 1
-        _notify_progress(progress, done, total, result)
-
-    remaining: list[int] = []
-    for i, (box, command, tags) in enumerate(parsed):
-        cached = finished.get(keys[i])
-        if cached is not None:
-            cached.tags.update(tags)
-            results[i] = cached
-            skipped += 1
-            rec.inc("checkpoint.cells_skipped")
-            # Journal-cached cells never touch a worker; worker=None and
-            # cached=True let snapshot consumers count them separately.
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                cell_id=f"cell-{i}",
-                seq=i,
-                verdict=cached.verdict.value,
-                verdict_class=cached.verdict_class(),
-                elapsed=0.0,
-                cached=True,
-            )
-            notify(cached)
-        else:
-            remaining.append(i)
-
-    with open(journal_path, "a") as handle:
-        journal = _JournalWriter(handle, fsync)
-
-        def on_result(seq: int, result: CellResult) -> None:
-            i = remaining[seq]
-            journal.append(keys[i], result)
-            results[i] = result
-            notify(result)
-
-        outcome = run_cells(
-            system_factory,
-            [(f"cell-{i}", *parsed[i]) for i in remaining],
-            settings,
-            on_result,
-        )
-        interrupted = outcome.interrupted
-
-    if skipped:
-        logger.info(
-            "resumed from %s: %d/%d cells skipped", journal_path, skipped, total
-        )
-
-    report = VerificationReport(cells=[results[i] for i in sorted(results)])
-    report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, interrupted)
-    report.settings_summary["journal"] = str(journal_path)
-    if rec.enabled:
-        report.metrics = rec.metrics.snapshot()
-    bus.publish(
-        "campaign.finished",
-        interrupted=interrupted,
-        verdicts=report.verdict_counts(),
-        coverage=report.coverage_percent(),
-        wall_seconds=report.wall_seconds,
-    )
-    return report

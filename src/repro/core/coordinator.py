@@ -56,12 +56,12 @@ from ..obs.live import get_bus
 from .checkpoint import (
     _cell_key,
     _JournalWriter,
-    load_journal,
     load_lease_records,
+    replay_journal,
 )
 from .lease import LeaseTable, assign_shards
 from .result import CellResult, VerificationReport
-from .runner import RunnerSettings, _notify_progress, _settings_summary
+from .runner import RunnerSettings, finish_report
 from .supervisor import trap_shutdown_signals
 from .wire import FrameDecoder, FrameError, parse_hostport, send_frame
 
@@ -175,12 +175,10 @@ class Coordinator:
         journal_path: str | Path,
         settings: RunnerSettings | None = None,
         dist: DistributedSettings | None = None,
-        progress: Callable[[int, int], None] | None = None,
         welcome_config: dict | None = None,
     ):
         self.settings = settings or RunnerSettings()
         self.dist = dist or DistributedSettings()
-        self.progress = progress
         self.journal_path = Path(journal_path)
         self.stats = CoordinatorStats()
 
@@ -224,8 +222,6 @@ class Coordinator:
         #: but are also never retried within one campaign — matching
         #: the single-host drivers).
         self.done_keys: set[str] = set()
-        #: keys durably in the journal.
-        self.journaled: set[str] = set()
 
         self._listener: socket.socket | None = None
         self._sel: selectors.BaseSelector | None = None
@@ -258,34 +254,13 @@ class Coordinator:
         return self.address
 
     # -- journal replay ------------------------------------------------
-    def _replay_journal(self, rec, bus) -> None:
-        finished = load_journal(self.journal_path)
-        for key, result in finished.items():
-            index = self.index_of.get(key)
-            if index is None:
-                # A journal shared with a different partition; the
-                # checkpoint layer has the same stance — ignore.
-                continue
-            result.tags.update(self.parsed[index][2])
-            self.results[index] = result
-            self.done_keys.add(key)
-            self.journaled.add(key)
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                cell_id=f"cell-{index}",
-                seq=index,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=0.0,
-                cached=True,
+    def _replay_journal(self) -> None:
+        self.results.update(
+            replay_journal(
+                self.journal_path, self.keys, [tags for _, _, tags in self.parsed]
             )
-        if finished:
-            rec.event(
-                "journal.resume",
-                path=str(self.journal_path),
-                finished_cells=len(self.journaled),
-            )
+        )
+        self.done_keys.update(self.keys[i] for i in self.results)
         # Epoch floors: every pre-crash grant is replayed so a new
         # grant's epoch is strictly above anything a zombie may hold.
         for record in load_lease_records(self.journal_path):
@@ -314,15 +289,13 @@ class Coordinator:
             distributed=True,
             shards=len(self.shards),
         )
-        self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        self._replay_journal(rec, bus)
+        self._replay_journal()
         deadline_at = (
             time.monotonic() + self.settings.deadline
             if self.settings.deadline
             else None
         )
-        with open(self.journal_path, "a") as handle:
-            journal = _JournalWriter(handle, self.dist.fsync)
+        with _JournalWriter(self.journal_path, self.dist.fsync) as journal:
             with trap_shutdown_signals() as stop:
                 while self.table.outstanding() > 0:
                     if stop.requested:
@@ -365,7 +338,18 @@ class Coordinator:
                         )
                     self._grant_idle(journal, bus, now)
             self._shutdown_nodes(bus)
-        return self._build_report(rec, bus, run_started)
+        return finish_report(
+            self.results,
+            self.settings,
+            self.interrupted,
+            run_started,
+            journal=str(self.journal_path),
+            distributed={
+                "shards": len(self.shards),
+                "lease_timeout": self.dist.lease_timeout,
+                **self.stats.to_dict(),
+            },
+        )
 
     # -- connection handling -------------------------------------------
     def _accept(self) -> None:
@@ -533,8 +517,6 @@ class Coordinator:
                 key, result,
                 extra={"shard": shard_id, "epoch": epoch, "node": node_id},
             )
-            if not result.quarantined:
-                self.journaled.add(key)
             bus.publish(
                 "cell.finished",
                 worker=None,
@@ -544,9 +526,6 @@ class Coordinator:
                 verdict=result.verdict.value,
                 verdict_class=result.verdict_class(),
                 elapsed=result.elapsed_seconds,
-            )
-            _notify_progress(
-                self.progress, len(self.done_keys), len(self.parsed), result
             )
             return
         if kind == "shard_done":
@@ -678,29 +657,6 @@ class Coordinator:
             self._sel.close()
             self._sel = None
 
-    def _build_report(self, rec, bus, run_started: float) -> VerificationReport:
-        report = VerificationReport(
-            cells=[self.results[i] for i in sorted(self.results)]
-        )
-        report.wall_seconds = time.perf_counter() - run_started
-        report.settings_summary = _settings_summary(self.settings, self.interrupted)
-        report.settings_summary["journal"] = str(self.journal_path)
-        report.settings_summary["distributed"] = {
-            "shards": len(self.shards),
-            "lease_timeout": self.dist.lease_timeout,
-            **self.stats.to_dict(),
-        }
-        if rec.enabled:
-            report.metrics = rec.metrics.snapshot()
-        bus.publish(
-            "campaign.finished",
-            interrupted=self.interrupted,
-            verdicts=report.verdict_counts(),
-            coverage=report.coverage_percent(),
-            wall_seconds=report.wall_seconds,
-        )
-        return report
-
 
 # ----------------------------------------------------------------------
 # The localhost topology: `verify --distributed`
@@ -713,7 +669,6 @@ def run_distributed(
     dist: DistributedSettings | None = None,
     nodes: int = 3,
     workers_per_node: int = 1,
-    progress: Callable[[int, int], None] | None = None,
     node_env: dict[str, str] | None = None,
 ) -> VerificationReport:
     """Run a distributed campaign entirely on this machine: fork
@@ -736,13 +691,7 @@ def run_distributed(
     # The agents are local forks that dial at once: wait for all of them
     # before granting, and size the default shard count by them.
     dist = replace(dist or DistributedSettings(), expected_nodes=nodes)
-    coordinator = Coordinator(
-        cells,
-        journal_path,
-        settings=settings,
-        dist=dist,
-        progress=progress,
-    )
+    coordinator = Coordinator(cells, journal_path, settings=settings, dist=dist)
     host, port = coordinator.start()
 
     ctx = multiprocessing.get_context("fork")

@@ -40,7 +40,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..intervals import Box
@@ -172,8 +172,6 @@ def run_node(
     """
     if (system_factory is None) == (factory_from_config is None):
         raise ValueError("pass exactly one of system_factory / factory_from_config")
-    from .runner import RunnerSettings  # local import: runner imports obs at load
-
     injector = get_fault_injector()
     if injector is not None:
         delay = injector.node_slowjoin_seconds()
@@ -201,28 +199,7 @@ def run_node(
         assert factory_from_config is not None
         system_factory = factory_from_config(outcome.config)
 
-    # The local pool reuses the campaign's reach/refinement settings but
-    # its own worker count; campaign-wide budgets (deadline) stay with
-    # the coordinator, which stops granting when they expire.
-    if runner_settings is not None:
-        pool_settings = RunnerSettings(
-            reach=runner_settings.reach,
-            refinement=runner_settings.refinement,
-            workers=settings.workers,
-            cell_timeout=runner_settings.cell_timeout,
-            max_retries=runner_settings.max_retries,
-            retry_backoff=runner_settings.retry_backoff,
-            witness_search=runner_settings.witness_search,
-            witness_timeout=runner_settings.witness_timeout,
-        )
-    else:
-        pool_settings = RunnerSettings(
-            reach=_reach_from_config(outcome.config),
-            refinement=_refinement_from_config(outcome.config),
-            workers=settings.workers,
-            cell_timeout=outcome.config.get("cell_timeout"),
-            max_retries=int(outcome.config.get("max_retries", 1)),
-        )
+    pool_settings = _pool_settings(outcome.config, settings.workers, runner_settings)
 
     # One heartbeat thread for the agent's lifetime; the shard/epoch it
     # stamps onto each beat tracks the current grant.
@@ -322,6 +299,24 @@ def run_node(
         reporter.stop()
         sock.close()
     return outcome
+
+
+def _pool_settings(config: dict, workers: int, runner_settings=None):
+    """The node's pool settings: the campaign's own ``runner_settings``
+    when given, else rebuilt from the coordinator's welcome config,
+    with the node's worker count either way. The campaign deadline
+    stays with the coordinator, which stops granting when it expires."""
+    from .runner import RunnerSettings  # local import: runner imports obs at load
+
+    if runner_settings is not None:
+        return replace(runner_settings, workers=workers, deadline=None)
+    return RunnerSettings(
+        reach=_reach_from_config(config),
+        refinement=_refinement_from_config(config),
+        workers=workers,
+        cell_timeout=config.get("cell_timeout"),
+        max_retries=int(config.get("max_retries", 1)),
+    )
 
 
 def _reach_from_config(config: dict):

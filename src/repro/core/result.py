@@ -55,8 +55,8 @@ class CellResult:
     def verdict_class(self) -> str:
         """``proved | witnessed | aborted | timed-out | unproved`` —
         the rolling-count classification of this cell's whole
-        refinement tree, shared by :class:`repro.obs.CampaignProgress`,
-        the run ledger and the live telemetry snapshot: *proved* when
+        refinement tree, shared by the run ledger and the live telemetry
+        snapshot (through ``cell.finished`` events): *proved* when
         the full volume is covered, *witnessed* when any leaf recorded
         a concrete counterexample, *aborted*/*timed-out* when the
         supervised runner quarantined a leaf, else *unproved*."""
@@ -167,9 +167,9 @@ class VerificationReport:
 
     def verdict_counts(self) -> dict[str, int]:
         """Rolling verdict counts over top-level cells, classified by
-        :meth:`CellResult.verdict_class` (the same semantics as
-        :class:`repro.obs.CampaignProgress` and the live telemetry
-        snapshot). Feeds the run ledger."""
+        :meth:`CellResult.verdict_class` (the same semantics as the
+        live telemetry snapshot). Feeds the run ledger and the CLI's run
+        summary."""
         counts = {
             "proved": 0,
             "unproved": 0,

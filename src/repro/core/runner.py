@@ -22,8 +22,9 @@ import logging
 import os
 import time
 from collections import deque
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from ..intervals import Box
 from ..obs import get_recorder
 from ..obs.live import HeartbeatReporter, get_bus
+from .checkpoint import _cell_key, _JournalWriter, replay_journal
 from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
 from .symbolic import SymbolicSet, SymbolicState
@@ -268,14 +270,14 @@ def run_cells(
     bus = get_bus()
     system = system_factory()
     # The serial driver is its own "worker 0": a heartbeat thread beats
-    # from this process so stall detection (`repro watch`) works for
-    # single-worker campaigns too.
+    # from this process, when the bus asks for beats, so stall detection
+    # (`repro watch`) works for single-worker campaigns too.
+    bus.publish("worker.ready", worker=0, pid=os.getpid())
     reporter = None
-    if bus.enabled:
-        bus.publish("worker.ready", worker=0, pid=os.getpid())
+    if bus.heartbeat_interval is not None:
         reporter = HeartbeatReporter(
             lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-            bus.heartbeat_interval or 1.0,
+            bus.heartbeat_interval,
         ).start()
     pending = deque(range(len(tasks)))
     try:
@@ -315,34 +317,20 @@ def run_cells(
     return outcome
 
 
-def _notify_progress(progress, done: int, total: int, result: CellResult) -> None:
-    """Feed either callback style: rich (``update(done, total, result)``,
-    e.g. :class:`repro.obs.CampaignProgress`) or the legacy bare
-    ``(done, total)`` callable.
-
-    A raising callback is *logged and counted*, never propagated: a
-    broken progress bar must not abort a multi-day campaign.
-    """
-    if progress is None:
-        return
-    try:
-        update = getattr(progress, "update", None)
-        if update is not None:
-            update(done, total, result)
-        else:
-            progress(done, total)
-    except Exception as exc:
-        rec = get_recorder()
-        rec.inc("runner.progress_errors")
-        rec.event("runner.progress_error", error=type(exc).__name__, done=done)
-        logger.warning(
-            "progress callback raised %s: %s (campaign continues)",
-            type(exc).__name__, exc,
-        )
-
-
-def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict:
-    summary = {
+def finish_report(
+    results: dict[int, CellResult],
+    settings: RunnerSettings,
+    interrupted: str | None,
+    run_started: float,
+    **summary,
+) -> VerificationReport:
+    """The report tail every campaign shares: the finished cells in
+    partition order, the settings summary (plus ``summary`` entries),
+    the recorder's metrics snapshot, and ``campaign.finished`` on the
+    bus."""
+    report = VerificationReport(cells=[results[i] for i in sorted(results)])
+    report.wall_seconds = time.perf_counter() - run_started
+    report.settings_summary = {
         "substeps": settings.reach.substeps,
         "max_symbolic_states": settings.reach.max_symbolic_states,
         "refinement_depth": settings.refinement.max_depth if settings.refinement else 0,
@@ -352,15 +340,27 @@ def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict
         "max_retries": settings.max_retries,
     }
     if interrupted:
-        summary["interrupted"] = interrupted
-    return summary
+        report.settings_summary["interrupted"] = interrupted
+    report.settings_summary.update(summary)
+    rec = get_recorder()
+    if rec.enabled:
+        report.metrics = rec.metrics.snapshot()
+    get_bus().publish(
+        "campaign.finished",
+        interrupted=interrupted,
+        verdicts=report.verdict_counts(),
+        coverage=report.coverage_percent(),
+        wall_seconds=report.wall_seconds,
+    )
+    return report
 
 
 def verify_partition(
     system_factory: Callable[[], ClosedLoopSystem],
     cells: Sequence[tuple[Box, int]] | Sequence[tuple[Box, int, dict]],
     settings: RunnerSettings | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    journal: str | Path | None = None,
+    fsync: bool = False,
 ) -> VerificationReport:
     """Verify every initial cell of a partition.
 
@@ -371,16 +371,22 @@ def verify_partition(
     whose factory call raises surfaces as a ``RuntimeError`` naming the
     worker and the underlying error.
 
-    ``progress`` is either a bare ``(done, total)`` callable or a rich
-    observer with an ``update(done, total, result)`` method (see
-    :class:`repro.obs.CampaignProgress` for rate/ETA/verdict counts).
-
     The cells run in chunks through :func:`run_cells`, on the
     supervised pool when ``settings.workers > 1``: crashes bisect the
     chunk, then retry and quarantine the failing cell as ``ABORTED``,
     budget overruns become ``TIMED_OUT``, and a deadline or
     SIGINT/SIGTERM yields a partial report
-    (``settings_summary["interrupted"]`` names the reason).
+    (``settings_summary["interrupted"]`` names the reason). Progress
+    is published on the telemetry bus (:func:`repro.obs.get_bus`): one
+    ``cell.finished`` event per cell, which
+    :class:`repro.obs.CampaignSnapshot` folds into rate, ETA and
+    verdict counts.
+
+    With a ``journal`` path the campaign is resumable (see
+    :mod:`repro.core.checkpoint`): cells already in the journal are
+    reused verbatim, the rest are appended as soon as their chunk
+    finishes (fsync'd one by one with ``fsync=True``), and quarantined
+    cells are left out so a restart retries them.
 
     When a live :class:`repro.obs.Recorder` is installed, workers
     stream spans to per-worker JSONL files (merged into the parent's
@@ -395,35 +401,30 @@ def verify_partition(
         tags = dict(cell[2]) if len(cell) > 2 else {}
         tasks.append((f"cell-{i}", box, command, tags))
 
-    rec = get_recorder()
-    bus = get_bus()
-    bus.publish(
+    get_bus().publish(
         "campaign.started",
         total=len(tasks),
         workers=settings.workers,
         pid=os.getpid(),
     )
-    done = 0
+    results: dict[int, CellResult] = {}
+    remaining = list(range(len(tasks)))
+    summary = {}
+    with ExitStack() as stack:
+        on_result = None
+        if journal is not None:
+            keys = [_cell_key(box, command) for _, box, command, _ in tasks]
+            results = replay_journal(journal, keys, [task[3] for task in tasks])
+            remaining = [i for i in remaining if i not in results]
+            writer = stack.enter_context(_JournalWriter(journal, fsync))
+            summary["journal"] = str(journal)
 
-    def on_result(seq: int, result: CellResult) -> None:
-        nonlocal done
-        done += 1
-        _notify_progress(progress, done, len(tasks), result)
+            def on_result(seq: int, result: CellResult) -> None:
+                writer.append(keys[remaining[seq]], result)
 
-    outcome = run_cells(system_factory, tasks, settings, on_result)
-    interrupted = outcome.interrupted
-    results = [outcome.results[i] for i in sorted(outcome.results)]
-
-    report = VerificationReport(cells=results)
-    report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, interrupted)
-    if rec.enabled:
-        report.metrics = rec.metrics.snapshot()
-    bus.publish(
-        "campaign.finished",
-        interrupted=interrupted,
-        verdicts=report.verdict_counts(),
-        coverage=report.coverage_percent(),
-        wall_seconds=report.wall_seconds,
-    )
-    return report
+        outcome = run_cells(
+            system_factory, [tasks[i] for i in remaining], settings, on_result
+        )
+    for seq, result in outcome.results.items():
+        results[remaining[seq]] = result
+    return finish_report(results, settings, outcome.interrupted, run_started, **summary)

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from ..intervals import Box
 from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
 from ..obs.live import HeartbeatReporter, get_bus
 from ..obs.live import set_bus as set_live_bus
@@ -182,7 +181,7 @@ def quarantine_result(
     return result
 
 
-def run_cell_guarded(system, chunk, *cell, attempt: int = 0):
+def run_cell_guarded(system, chunk, settings, attempt: int = 0):
     """Verify a chunk of ``(cell_id, box, command, tags)`` tasks with the
     lockstep wave driver (:func:`~repro.core.runner.verify_cells`),
     wrapped in the budget machinery; returns one result per task, in
@@ -195,16 +194,7 @@ def run_cell_guarded(system, chunk, *cell, attempt: int = 0):
       the cell's own);
     * a chunk that raises is bisected and each half verified again,
       until the raising cell is alone and degrades to ``ABORTED``.
-
-    ``run_cell_guarded(system, box, command, settings, cell_id)`` is the
-    one-cell form; it returns that cell's result.
     """
-    if isinstance(chunk, Box):
-        command, settings, cell_id = cell
-        return run_cell_guarded(
-            system, [(cell_id, chunk, command, {})], settings, attempt=attempt
-        )[0]
-    (settings,) = cell
     from .runner import verify_cells  # deferred: runner imports this module
 
     rec = get_recorder()
@@ -564,9 +554,8 @@ def run_supervised(
 
     ``on_result`` is called in the supervisor loop (parent process,
     completion order) with ``(task_index, result)`` as each cell
-    finishes — the checkpoint journal and progress reporting hang off
-    it. Worker trace files are merged into the parent trace before
-    returning.
+    finishes — the checkpoint journal hangs off it. Worker trace files
+    are merged into the parent trace before returning.
 
     Raises ``RuntimeError`` if a worker's ``system_factory()`` call
     fails: that is a configuration error, not a transient fault.
@@ -582,7 +571,7 @@ def run_supervised(
     ctx = multiprocessing.get_context("fork")
     pool_size = min(settings.workers, total)
     hard_budget = _hard_kill_budget(settings)
-    heartbeat = bus.heartbeat_interval if bus.enabled else None
+    heartbeat = bus.heartbeat_interval
 
     pending: deque[int] = deque(range(total))  # cells never dispatched
     requeued: deque[list[int]] = deque()  # split halves and due retries

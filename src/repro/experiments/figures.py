@@ -73,9 +73,10 @@ def fig7_substep_ablation(
 # ----------------------------------------------------------------------
 def run_experiment(
     config: ExperimentConfig,
-    progress=None,
+    journal: str | None = None,
 ) -> VerificationReport:
-    """Run the full partition verification for a named experiment."""
+    """Run the full partition verification for a named experiment,
+    resumable through ``journal`` (see :func:`verify_partition`)."""
     from ..acasxu import build_system
 
     cells = initial_cells(config.num_arcs, config.num_headings)
@@ -83,7 +84,7 @@ def run_experiment(
         lambda: build_system(config.scenario),
         cells,
         config.runner,
-        progress=progress,
+        journal=journal,
     )
     report.system_name = f"acasxu/{config.name}"
     report.settings_summary["num_arcs"] = config.num_arcs

@@ -7,8 +7,11 @@ Three cooperating pieces, all optional and all off by default:
   worker boundary;
 * **Tracing** (:func:`get_recorder` / ``rec.span(...)``): span and
   point events streamed to a JSONL file, summarized by ``repro stats``;
-* **Progress** (:class:`CampaignProgress`): live rate/ETA/verdict
-  counts for partition campaigns.
+* **Live telemetry** (:func:`get_bus` / :class:`TelemetryBus`): typed
+  campaign events; :class:`CampaignSnapshot` folds them into rate,
+  ETA, verdict counts and stall state, which the status files, the
+  metrics endpoint and the one-line :class:`CampaignProgress` display
+  all read.
 
 On top of those sit the cross-run pieces (PR 3): the **ledger**
 (:mod:`repro.obs.ledger` — durable per-run records under
@@ -57,7 +60,6 @@ from .live import (
     render_prometheus,
     render_watch,
     set_bus,
-    start_live_telemetry,
     use_bus,
     write_status_atomic,
 )
@@ -143,7 +145,6 @@ __all__ = [
     "render_watch",
     "set_bus",
     "set_recorder",
-    "start_live_telemetry",
     "summarize_trace",
     "summarize_trace_file",
     "use_bus",

@@ -360,8 +360,8 @@ class CampaignSnapshot:
 
     Subscribe it to a bus (:meth:`attach`) and read it from anywhere:
     the status-file writer, the metrics endpoint's server thread, and
-    :class:`~repro.obs.progress.CampaignProgress` (for the ``stalled``
-    marker) all consume the same instance.
+    the one-line :class:`~repro.obs.progress.CampaignProgress` display
+    all consume the same instance.
     """
 
     def __init__(self, run_id: str, settings: TelemetrySettings | None = None):
@@ -1265,12 +1265,14 @@ class LiveTelemetry:
     block::
 
         settings = TelemetrySettings(metrics_port=0)
-        with start_live_telemetry("20260807T...-verify-ab12cd", settings) as live:
+        with LiveTelemetry("20260807T...-verify-ab12cd", settings) as live:
             report = verify_partition(factory, cells, runner_settings)
         # .repro/live/<run-id>/status.json now holds the final snapshot
 
     The supervisor and runner publish onto :func:`get_bus`, so no
     plumbing changes are needed anywhere a campaign is driven.
+    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
+    exposes the process's internal metrics on ``/metrics``.
     """
 
     def __init__(
@@ -1312,16 +1314,3 @@ class LiveTelemetry:
             self.server.close()
             self.server = None
         self.writer.close()
-
-
-def start_live_telemetry(
-    run_id: str,
-    settings: TelemetrySettings | None = None,
-    recorder=None,
-) -> LiveTelemetry:
-    """Build a :class:`LiveTelemetry` (use it as a context manager).
-
-    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
-    exposes the process's internal metrics on ``/metrics``.
-    """
-    return LiveTelemetry(run_id, settings, recorder=recorder)

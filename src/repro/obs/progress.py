@@ -1,15 +1,12 @@
-"""Live campaign progress: rate, ETA and rolling verdict counts.
+"""The one-line campaign progress display.
 
-Replaces the bare ``(done, total)`` callback of the partition runner.
-:func:`repro.core.runner.verify_partition` detects a
-:class:`CampaignProgress` (anything with an ``update`` method) and
-feeds it each finished :class:`~repro.core.result.CellResult`, so the
-report line can show how the campaign is *going*, not just how far
-along it is::
+A telemetry-bus subscriber: every campaign publishes one
+``cell.finished`` event per cell, a
+:class:`~repro.obs.live.CampaignSnapshot` folds those events into
+rate, ETA, verdict counts and stall state, and :class:`CampaignProgress`
+renders that snapshot as one throttled stderr line::
 
     cells 120/216 (55.6%) | 3.4 cell/s | ETA 28s | proved 97 unproved 20 witnessed 3
-
-Plain ``(done, total)`` callables keep working unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import time
 from typing import IO, TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.result import CellResult
+    from .live import CampaignSnapshot, TelemetryBus
 
 
 def format_eta(seconds: float) -> str:
@@ -38,131 +35,68 @@ def format_eta(seconds: float) -> str:
 
 
 class CampaignProgress:
-    """Tracks and (optionally) prints campaign progress.
+    """Prints ``snapshot`` as one line on each ``cell.finished`` event.
 
-    ``min_interval`` throttles printing so huge partitions do not drown
-    stderr; the final update always prints. Pass ``stream=None`` to
-    track silently (rate/ETA/counts remain queryable — used by tests
-    and by the CLI's end-of-run summary).
+    Attach it to the bus *after* the snapshot, so the line already
+    counts the event that triggered it. ``min_interval`` throttles
+    printing so huge partitions do not drown stderr; the line for the
+    last cell always prints. ``stream`` defaults to the current
+    ``sys.stderr``; ``clock`` (wall time, like the events' ``ts``)
+    drives throttling and the rate.
     """
 
     def __init__(
         self,
-        stream: IO[str] | None = sys.stderr,
+        snapshot: "CampaignSnapshot",
+        stream: IO[str] | None = None,
         min_interval: float = 1.0,
-        clock=time.monotonic,
-        stalled_provider: Callable[[], int] | None = None,
+        clock: Callable[[], float] = time.time,
     ):
-        self.stream = stream
+        self.snapshot = snapshot
+        self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self._clock = clock
-        self.started = clock()
         self._last_print = float("-inf")
-        self.done = 0
-        self.total = 0
-        self.proved = 0
-        self.unproved = 0
-        self.witnessed = 0
-        self.aborted = 0
-        self.timed_out = 0
-        #: When live telemetry is on, the number of stalled workers
-        #: (busy but heartbeat-silent) to surface in the progress line —
-        #: typically ``CampaignSnapshot.stalled_count``. ``None`` keeps
-        #: the line unchanged.
-        self.stalled_provider = stalled_provider
 
-    # -- feeding -------------------------------------------------------
-    def update(self, done: int, total: int, result: "CellResult | None" = None) -> None:
-        self.done = done
-        self.total = total
-        if result is not None:
-            classify = getattr(result, "verdict_class", None)
-            if classify is not None:
-                cls = classify()
-            else:
-                # Duck-typed fallback: callers may feed results that
-                # only provide coverage_fraction and tags, so count the
-                # whole refinement tree's leaves by hand.
-                leaves = result.leaves() if hasattr(result, "leaves") else [result]
-                verdicts = {
-                    getattr(getattr(leaf, "verdict", None), "value", None)
-                    for leaf in leaves
-                }
-                if result.coverage_fraction() >= 1.0:
-                    cls = "proved"
-                elif any("witness" in getattr(leaf, "tags", {}) for leaf in leaves):
-                    cls = "witnessed"
-                elif "aborted" in verdicts:
-                    cls = "aborted"
-                elif "timed-out" in verdicts:
-                    cls = "timed-out"
-                else:
-                    cls = "unproved"
-            if cls == "proved":
-                self.proved += 1
-            elif cls == "witnessed":
-                self.witnessed += 1
-            elif cls == "aborted":
-                self.aborted += 1
-            elif cls == "timed-out":
-                self.timed_out += 1
-            else:
-                self.unproved += 1
+    def attach(self, bus: "TelemetryBus") -> "CampaignProgress":
+        bus.subscribe(self.on_event)
+        return self
+
+    def on_event(self, event: dict) -> None:
+        if event.get("kind") != "cell.finished":
+            return
         now = self._clock()
-        if self.stream is not None and (
-            now - self._last_print >= self.min_interval or done >= total
+        if (
+            now - self._last_print >= self.min_interval
+            or self.snapshot.done >= self.snapshot.total
         ):
             self._last_print = now
-            print(self.render(), file=self.stream)
+            print(self.render(now), file=self.stream)
 
-    # Back-compat: the object itself is a valid (done, total) callback.
-    def __call__(self, done: int, total: int) -> None:
-        self.update(done, total)
-
-    # -- derived quantities --------------------------------------------
-    @property
-    def elapsed(self) -> float:
-        return self._clock() - self.started
-
-    @property
-    def rate(self) -> float:
-        """Finished cells per second (0 until the first completion)."""
-        elapsed = self.elapsed
-        return self.done / elapsed if elapsed > 0 and self.done else 0.0
-
-    @property
-    def eta_seconds(self) -> float:
-        rate = self.rate
-        if rate <= 0.0:
-            return float("inf")
-        return (self.total - self.done) / rate
-
-    # -- rendering -----------------------------------------------------
-    def render(self) -> str:
-        pct = 100.0 * self.done / self.total if self.total else 0.0
-        parts = [f"cells {self.done}/{self.total} ({pct:.1f}%)"]
-        if self.rate > 0.0:
-            parts.append(f"{self.rate:.2f} cell/s")
-            if self.done < self.total:
-                parts.append(f"ETA {format_eta(self.eta_seconds)}")
+    def render(self, now: float | None = None) -> str:
+        now = self._clock() if now is None else now
+        snap = self.snapshot
+        pct = 100.0 * snap.done / snap.total if snap.total else 0.0
+        parts = [f"cells {snap.done}/{snap.total} ({pct:.1f}%)"]
+        rate = snap.rate(now)
+        if rate > 0.0:
+            parts.append(f"{rate:.2f} cell/s")
+            if snap.done < snap.total:
+                parts.append(f"ETA {format_eta(snap.eta_seconds(now))}")
+        counts = snap.verdicts
         verdicts = (
-            f"proved {self.proved} unproved {self.unproved} "
-            f"witnessed {self.witnessed}"
+            f"proved {counts['proved']} unproved {counts['unproved']} "
+            f"witnessed {counts['witnessed']}"
         )
         # Quarantine counts only appear once something went wrong, so
         # healthy campaigns keep the familiar three-way line.
-        if self.aborted:
-            verdicts += f" aborted {self.aborted}"
-        if self.timed_out:
-            verdicts += f" timed-out {self.timed_out}"
+        for cls in ("aborted", "timed-out"):
+            if counts[cls]:
+                verdicts += f" {cls} {counts[cls]}"
         parts.append(verdicts)
         # Live stall detection (heartbeat-silent busy workers) shows up
         # in the one-line output too, so non-`watch` users see it.
-        if self.stalled_provider is not None:
-            try:
-                stalled = int(self.stalled_provider())
-            except Exception:
-                stalled = 0
-            if stalled:
-                parts.append(f"{stalled} stalled")
+        stalled = snap.stalled_count(now)
+        if stalled:
+            parts.append(f"{stalled} stalled")
         return " | ".join(parts)

@@ -36,7 +36,7 @@ from repro.core import (
     canonical_journal_bytes,
     grid_partition,
     run_distributed,
-    verify_partition_checkpointed,
+    verify_partition,
 )
 from repro.core.checkpoint import _cell_key
 from repro.intervals import Box
@@ -69,11 +69,11 @@ def cell_records(journal_path):
 def single_host(tmp_path_factory):
     """Reference single-host checkpointed run over the same partition."""
     journal = tmp_path_factory.mktemp("single") / "journal.jsonl"
-    report = verify_partition_checkpointed(
+    report = verify_partition(
         make_system,
         campaign_cells(),
-        journal,
         RunnerSettings(workers=2, reach=REACH),
+        journal=journal,
     )
     assert report.total_cells == NUM_CELLS
     return report, canonical_journal_bytes(journal)
@@ -202,3 +202,31 @@ class TestNodeLossDrill:
 
         # The merged journal is mathematically identical to single-host.
         assert canonical_journal_bytes(journal) == single_bytes
+
+
+class TestNodePoolSettings:
+    def test_every_campaign_field_reaches_the_node_pool(self):
+        """A node's pool runs with the campaign's own settings; only the
+        worker count (the node's) and the deadline (the coordinator's)
+        differ, so a new RunnerSettings field cannot be lost on nodes."""
+        from dataclasses import fields
+
+        from repro.core import RefinementPolicy
+        from repro.core.node import _pool_settings
+
+        campaign = RunnerSettings(
+            reach=REACH,
+            refinement=RefinementPolicy(dims=(0,), max_depth=2),
+            workers=4,
+            witness_search=lambda system, box, command: None,
+            cell_timeout=7.0,
+            deadline=60.0,
+            max_retries=3,
+            retry_backoff=0.5,
+            witness_timeout=2.0,
+        )
+        pool = _pool_settings({}, 1, campaign)
+        assert (pool.workers, pool.deadline) == (1, None)
+        for field in fields(RunnerSettings):
+            if field.name not in ("workers", "deadline"):
+                assert getattr(pool, field.name) == getattr(campaign, field.name), field.name

@@ -12,6 +12,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.intervals import Box
+from repro.obs import CampaignSnapshot, TelemetryBus, use_bus
 
 from .fixtures import make_system
 
@@ -86,12 +87,17 @@ class TestVerifyPartition:
     def test_progress_callback(self):
         system_factory = lambda: make_system()
         boxes = grid_partition(Box([1.6], [2.4]), [3])
+        # Progress rides the telemetry bus: a snapshot subscribed ahead
+        # of the observer has already counted each finished cell.
+        bus = TelemetryBus(heartbeat_interval=None)
+        snapshot = CampaignSnapshot("progress").attach(bus)
         seen = []
-        verify_partition(
-            system_factory,
-            cells_for(boxes),
-            progress=lambda done, total: seen.append((done, total)),
+        bus.subscribe(
+            lambda e: e["kind"] == "cell.finished"
+            and seen.append((snapshot.done, snapshot.total))
         )
+        with use_bus(bus):
+            verify_partition(system_factory, cells_for(boxes))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_parallel_matches_serial(self):

@@ -21,12 +21,11 @@ from repro.core import (
     run_distributed,
     run_supervised,
     verify_partition,
-    verify_partition_checkpointed,
 )
 from repro.core.checkpoint import _normalize_result_dict
 from repro.core.supervisor import chunk_size
 from repro.intervals import Box
-from repro.obs import Recorder, use_recorder
+from repro.obs import Recorder, TelemetryBus, use_bus, use_recorder
 from repro.testing import injected_faults
 from repro.testing.faults import CRASH_EXIT_CODE
 
@@ -79,8 +78,8 @@ class TestRunCellGuarded:
         settings = RunnerSettings(cell_timeout=0.2)
         with injected_faults("slow:cell-0:30"):
             result = run_cell_guarded(
-                make_system(), Box([2.0], [2.2]), 1, settings, "cell-0"
-            )
+                make_system(), [("cell-0", Box([2.0], [2.2]), 1, {})], settings
+            )[0]
         assert result.verdict is Verdict.TIMED_OUT
         assert result.quarantined
         assert result.tags["failure"]["kind"] == "timeout"
@@ -88,19 +87,19 @@ class TestRunCellGuarded:
         assert result.attempts == 1
 
     def test_exception_quarantines_as_aborted(self):
-        # A null system makes verify_cell raise immediately.
+        # A null system makes verify_cells raise immediately.
         result = run_cell_guarded(
-            None, Box([2.0], [2.2]), 1, RunnerSettings(), "cell-0"
-        )
+            None, [("cell-0", Box([2.0], [2.2]), 1, {})], RunnerSettings()
+        )[0]
         assert result.verdict is Verdict.ABORTED
         assert result.tags["failure"]["kind"] == "exception"
         assert "AttributeError" in result.tags["failure"]["error"]
 
     def test_healthy_cell_records_attempts(self):
         result = run_cell_guarded(
-            make_system(), Box([2.0], [2.2]), 1, RunnerSettings(), "cell-0",
+            make_system(), [("cell-0", Box([2.0], [2.2]), 1, {})], RunnerSettings(),
             attempt=2,
-        )
+        )[0]
         assert result.proved
         assert result.attempts == 3
 
@@ -130,14 +129,20 @@ class TestSerialFaultTolerance:
         assert report.settings_summary["interrupted"] == "deadline"
 
     def test_progress_exception_does_not_abort_campaign(self):
-        def exploding_progress(done, total):
+        # Progress is a bus subscriber; one that raises is dropped from
+        # the fan-out and the campaign carries on.
+        seen = []
+
+        def exploding_progress(event):
+            seen.append(event["kind"])
             raise ValueError("broken progress bar")
 
-        with use_recorder(Recorder()) as rec:
-            report = verify_partition(
-                make_system, four_cells(), progress=exploding_progress
-            )
-            assert rec.metrics.counters["runner.progress_errors"] == 4
+        bus = TelemetryBus(heartbeat_interval=None)
+        bus.subscribe(exploding_progress)
+        with use_bus(bus):
+            report = verify_partition(make_system, four_cells())
+        assert seen == ["campaign.started"]
+        assert bus.dropped_subscribers == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
 
@@ -154,9 +159,7 @@ class TestWitnessTimeout:
             witness_search=stuck_search, witness_timeout=0.2
         )
         started = time.perf_counter()
-        result = run_cell_guarded(
-            system, Box([2.0], [3.0]), 0, settings, "cell-0"
-        )
+        result = run_cell_guarded(system, [("cell-0", Box([2.0], [3.0]), 0, {})], settings)[0]
         assert time.perf_counter() - started < 5.0
         assert not result.proved
         assert not result.quarantined  # timed-out search != timed-out cell
@@ -172,9 +175,7 @@ class TestWitnessTimeout:
         settings = RunnerSettings(
             witness_search=stuck_search, witness_timeout=0.2, cell_timeout=10.0
         )
-        result = run_cell_guarded(
-            system, Box([2.0], [3.0]), 0, settings, "cell-0"
-        )
+        result = run_cell_guarded(system, [("cell-0", Box([2.0], [3.0]), 0, {})], settings)[0]
         # The witness guard fired, not the cell guard.
         assert result.verdict is not Verdict.TIMED_OUT
         assert "witness_timeout" in result.tags
@@ -389,8 +390,11 @@ class TestChunkDispatch:
         journals = []
         for name, workers in (("serial", 1), ("pool", 2)):
             journal = tmp_path / f"{name}.jsonl"
-            verify_partition_checkpointed(
-                factory, cells, journal, replace(settings, workers=workers)
+            verify_partition(
+                factory,
+                cells,
+                replace(settings, workers=workers),
+                journal=journal,
             )
             journals.append(canonical_journal_bytes(journal))
         journal = tmp_path / "distributed.jsonl"

@@ -63,6 +63,29 @@ class TestCommands:
         assert main(["show", report_path]) == 0
         assert "Fig. 9a" in capsys.readouterr().out
 
+    def test_verify_journal_resumes_without_distributed(self, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        report_path = tmp_path / "report.json"
+        metrics_path = tmp_path / "metrics.json"
+        argv = [
+            "verify", "--arcs", "2", "--headings", "1", "--depth", "0",
+            "--journal", str(journal), "--no-live",
+            "--out", str(report_path), "--metrics-out", str(metrics_path),
+        ]
+        assert main(argv) == 0
+        total = len(json.loads(report_path.read_text())["cells"])
+        first = capsys.readouterr()
+        assert f"cells {total}/{total} (100.0%)" in first.err
+        assert "run summary:" in first.out
+        written = journal.read_bytes()
+        assert written.count(b"\n") == total
+
+        assert main(argv) == 0
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["counters"]["checkpoint.cells_skipped"] == total
+        assert "checkpoint.cells_verified" not in metrics["counters"]
+        assert journal.read_bytes() == written
+
     def test_falsify_small(self, capsys):
         assert (
             main(["falsify", "--population", "8", "--generations", "2"]) == 0

@@ -59,12 +59,20 @@ class TestInstrumentedRunner:
         assert report.metrics["counters"]["reach.integrations"] > 0
 
     def test_progress_receives_results(self):
-        from repro.obs import CampaignProgress
+        import io
 
-        progress = CampaignProgress(stream=None)
-        verify_partition(lambda: make_system(), cells(), progress=progress)
-        assert progress.done == progress.total == 4
-        assert progress.proved + progress.unproved + progress.witnessed == 4
+        from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, use_bus
+
+        bus = TelemetryBus(heartbeat_interval=None)
+        snapshot = CampaignSnapshot("progress").attach(bus)
+        stream = io.StringIO()
+        CampaignProgress(snapshot, stream=stream).attach(bus)
+        with use_bus(bus):
+            verify_partition(lambda: make_system(), cells())
+        assert snapshot.done == snapshot.total == 4
+        verdicts = snapshot.verdicts
+        assert verdicts["proved"] + verdicts["unproved"] + verdicts["witnessed"] == 4
+        assert stream.getvalue().splitlines()[-1].startswith("cells 4/4 (100.0%)")
 
     def test_refinement_spans_present(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -100,11 +108,11 @@ class TestNoOpIsInert:
 
 class TestCheckpointObservability:
     def test_malformed_journal_line_is_skipped_not_fatal(self, tmp_path):
-        from repro.core import load_journal, verify_partition_checkpointed
+        from repro.core import load_journal
 
         journal = tmp_path / "journal.jsonl"
         all_cells = cells()
-        verify_partition_checkpointed(lambda: make_system(), all_cells, journal)
+        verify_partition(lambda: make_system(), all_cells, journal=journal)
         lines = journal.read_text().splitlines()
         assert len(lines) == 4
         # Corrupt the SECOND line: entries after it must still load.
@@ -120,29 +128,25 @@ class TestCheckpointObservability:
             calls["count"] += 1
             return make_system()
 
-        report = verify_partition_checkpointed(factory, all_cells, journal)
+        report = verify_partition(factory, all_cells, journal=journal)
         assert report.total_cells == 4
         assert calls["count"] == 1  # only the torn cell was re-verified
         assert len(load_journal(journal)) == 4
 
     def test_fsync_option(self, tmp_path):
-        from repro.core import verify_partition_checkpointed
-
         journal = tmp_path / "journal.jsonl"
-        report = verify_partition_checkpointed(
-            lambda: make_system(), cells(), journal, fsync=True
+        report = verify_partition(
+            lambda: make_system(), cells(), journal=journal, fsync=True
         )
         assert report.total_cells == 4
 
     def test_resume_event_emitted(self, tmp_path):
-        from repro.core import verify_partition_checkpointed
-
         journal = tmp_path / "journal.jsonl"
-        verify_partition_checkpointed(lambda: make_system(), cells(), journal)
+        verify_partition(lambda: make_system(), cells(), journal=journal)
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
         with use_recorder(rec):
-            verify_partition_checkpointed(lambda: make_system(), cells(), journal)
+            verify_partition(lambda: make_system(), cells(), journal=journal)
         rec.close()
         events = {e["name"] for e in read_trace(trace)}
         assert "journal.resume" in events

@@ -393,6 +393,26 @@ class TestHeartbeatReporter:
                 time.sleep(0.12)
         assert beats == []
 
+    @pytest.mark.parametrize("interval", [None, 0.02])
+    def test_serial_campaign_follows_bus_interval(self, interval, monkeypatch):
+        started = []
+        thread_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        bus = TelemetryBus(heartbeat_interval=interval)
+        kinds = []
+        bus.subscribe(lambda e: kinds.append(e["kind"]))
+        with injected_faults("slow:cell-0:0.2"), use_bus(bus):
+            report = verify_partition(make_system, cells(2), RunnerSettings(workers=1))
+        assert report.total_cells == 2
+        beating = interval is not None
+        assert ("worker.heartbeat" in kinds) is beating
+        assert ("repro-heartbeat" in started) is beating
+
 
 # ----------------------------------------------------------------------
 # Renderers

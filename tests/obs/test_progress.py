@@ -1,10 +1,13 @@
-"""CampaignProgress: rate/ETA math, rolling verdicts, rendering."""
+"""CampaignProgress: the one-line display rendered from a
+CampaignSnapshot as a telemetry-bus subscriber."""
 
 import io
 
 import pytest
 
-from repro.obs import CampaignProgress, format_eta
+from repro.core import CellResult, Verdict
+from repro.intervals import Box
+from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, format_eta
 
 
 class FakeClock:
@@ -18,16 +21,34 @@ class FakeClock:
         self.now += seconds
 
 
-class FakeResult:
-    """Duck-typed CellResult: coverage fraction + tags are all that
-    progress reads."""
+class Campaign:
+    """A bus with a snapshot and a progress display, fed hand-made
+    events stamped by a fake wall clock."""
 
-    def __init__(self, coverage=1.0, witness=False):
-        self._coverage = coverage
-        self.tags = {"witness": [0.0]} if witness else {}
+    def __init__(self, total, stream=None, min_interval=1.0, start=0.0):
+        self.clock = FakeClock(start)
+        self.bus = TelemetryBus(heartbeat_interval=None)
+        self.snapshot = CampaignSnapshot("progress").attach(self.bus)
+        self.stream = stream or io.StringIO()
+        self.progress = CampaignProgress(
+            self.snapshot, stream=self.stream, min_interval=min_interval,
+            clock=self.clock,
+        ).attach(self.bus)
+        self.emit("campaign.started", total=total)
 
-    def coverage_fraction(self):
-        return self._coverage
+    def emit(self, kind, **fields):
+        # Bypass publish()'s wall-clock stamp: feed the subscribers
+        # directly, in subscription order, with the fake clock's time.
+        event = {"ts": self.clock(), "kind": kind, **fields}
+        self.snapshot.on_event(event)
+        self.progress.on_event(event)
+
+    def finish(self, n, verdict_class="proved"):
+        for _ in range(n):
+            self.emit("cell.finished", worker=None, verdict_class=verdict_class)
+
+    def line(self):
+        return self.progress.render()
 
 
 class TestFormatEta:
@@ -48,121 +69,134 @@ class TestFormatEta:
 
 class TestRateAndEta:
     def test_rate_is_cells_per_second(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        progress.update(20, 100)
-        assert progress.rate == pytest.approx(2.0)
-        assert progress.eta_seconds == pytest.approx(40.0)
+        campaign = Campaign(total=100)
+        campaign.clock.advance(10.0)
+        campaign.finish(20)
+        line = campaign.line()
+        assert "2.00 cell/s" in line
+        assert "ETA 40s" in line
 
     def test_rate_zero_before_first_completion(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(5.0)
-        progress.update(0, 100)
-        assert progress.rate == 0.0
-        assert progress.eta_seconds == float("inf")
+        campaign = Campaign(total=100)
+        campaign.clock.advance(5.0)
+        line = campaign.line()
+        assert "cell/s" not in line
+        assert "ETA" not in line
 
     def test_eta_shrinks_as_done_grows(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        progress.update(10, 100)
-        first_eta = progress.eta_seconds
-        clock.advance(10.0)
-        progress.update(40, 100)
-        assert progress.eta_seconds < first_eta
+        campaign = Campaign(total=100)
+        campaign.clock.advance(10.0)
+        campaign.finish(10)
+        first_eta = campaign.snapshot.eta_seconds(campaign.clock())
+        campaign.clock.advance(10.0)
+        campaign.finish(30)
+        assert campaign.snapshot.eta_seconds(campaign.clock()) < first_eta
 
     def test_elapsed_tracks_clock(self):
-        clock = FakeClock(100.0)
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(7.5)
-        assert progress.elapsed == pytest.approx(7.5)
+        # The rate is measured from campaign.started on the display's
+        # clock, not from when the display was built.
+        campaign = Campaign(total=100, start=100.0)
+        campaign.clock.advance(7.5)
+        campaign.finish(15)
+        assert "2.00 cell/s" in campaign.line()
 
 
 class TestRollingVerdicts:
     def test_counts_by_outcome(self):
-        progress = CampaignProgress(stream=None)
-        outcomes = [
-            FakeResult(coverage=1.0),
-            FakeResult(coverage=1.0),
-            FakeResult(coverage=0.2),
-            FakeResult(coverage=0.0, witness=True),
-        ]
-        for i, result in enumerate(outcomes):
-            progress.update(i + 1, len(outcomes), result)
-        assert progress.proved == 2
-        assert progress.unproved == 1
-        assert progress.witnessed == 1
+        campaign = Campaign(total=4)
+        campaign.finish(2, "proved")
+        campaign.finish(1, "unproved")
+        campaign.finish(1, "witnessed")
+        assert "proved 2 unproved 1 witnessed 1" in campaign.line()
 
     def test_partial_coverage_counts_as_unproved(self):
-        progress = CampaignProgress(stream=None)
-        progress.update(1, 1, FakeResult(coverage=0.999))
-        assert progress.unproved == 1
+        parent = CellResult(
+            cell_id="c", box=Box([0.0], [1.0]), command=0,
+            verdict=Verdict.POSSIBLY_UNSAFE,
+        )
+        for i, verdict in enumerate((Verdict.PROVED_SAFE, Verdict.POSSIBLY_UNSAFE)):
+            parent.children.append(CellResult(
+                cell_id=f"c.{i}", box=Box([0.0], [1.0]), command=0,
+                verdict=verdict, depth=1,
+            ))
+        campaign = Campaign(total=1)
+        campaign.finish(1, parent.verdict_class())
+        assert "proved 0 unproved 1 witnessed 0" in campaign.line()
 
     def test_update_without_result_keeps_counts(self):
-        progress = CampaignProgress(stream=None)
-        progress.update(1, 2)
-        assert (progress.proved, progress.unproved, progress.witnessed) == (0, 0, 0)
+        # Only cell.finished moves the counts and prints a line.
+        campaign = Campaign(total=2)
+        campaign.emit("cell.dispatched", worker=0, cell_id="cell-0")
+        campaign.emit("worker.heartbeat", worker=0)
+        assert campaign.stream.getvalue() == ""
+        assert "cells 0/2" in campaign.line()
+        assert "proved 0 unproved 0 witnessed 0" in campaign.line()
 
-    def test_legacy_callable_protocol(self):
-        progress = CampaignProgress(stream=None)
-        progress(3, 10)
-        assert progress.done == 3
-        assert progress.total == 10
+    def test_quarantine_counts_appear_only_when_nonzero(self):
+        campaign = Campaign(total=3)
+        campaign.finish(1, "proved")
+        assert "aborted" not in campaign.line()
+        campaign.finish(1, "aborted")
+        campaign.finish(1, "timed-out")
+        assert campaign.line().endswith("witnessed 0 aborted 1 timed-out 1")
 
 
 class TestRendering:
     def test_render_contents(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        for i in range(5):
-            progress.update(i + 1, 10, FakeResult(coverage=1.0))
-        line = progress.render()
+        campaign = Campaign(total=10)
+        campaign.clock.advance(10.0)
+        campaign.finish(5)
+        line = campaign.line()
         assert "cells 5/10 (50.0%)" in line
         assert "cell/s" in line
         assert "ETA" in line
         assert "proved 5" in line
 
     def test_prints_throttled_but_final_always(self):
-        clock = FakeClock()
-        stream = io.StringIO()
-        progress = CampaignProgress(stream=stream, min_interval=1000.0, clock=clock)
-        progress.update(1, 3)  # first one prints (interval from -inf)
-        progress.update(2, 3)  # throttled
-        progress.update(3, 3)  # final: always prints
-        lines = stream.getvalue().strip().splitlines()
+        campaign = Campaign(total=3, min_interval=1000.0)
+        campaign.finish(1)  # first one prints (interval from -inf)
+        campaign.finish(1)  # throttled
+        campaign.finish(1)  # final: always prints
+        lines = campaign.stream.getvalue().strip().splitlines()
         assert len(lines) == 2
         assert lines[-1].startswith("cells 3/3")
 
     def test_no_eta_once_finished(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(2.0)
-        progress.update(4, 4)
-        assert "ETA" not in progress.render()
+        campaign = Campaign(total=4)
+        campaign.clock.advance(2.0)
+        campaign.finish(4)
+        assert "ETA" not in campaign.line()
 
 
 class TestStalledMarker:
     def test_stalled_count_shown_when_nonzero(self):
-        progress = CampaignProgress(stream=None, stalled_provider=lambda: 2)
-        progress.update(1, 10)
-        assert "2 stalled" in progress.render()
+        campaign = Campaign(total=10)
+        for worker in (0, 1):
+            campaign.emit("cell.dispatched", worker=worker, cell_id=f"cell-{worker}")
+        campaign.clock.advance(60.0)  # silent far past stall_after
+        campaign.finish(1)
+        assert campaign.line().endswith(" | 2 stalled")
 
     def test_hidden_when_zero_or_absent(self):
-        quiet = CampaignProgress(stream=None, stalled_provider=lambda: 0)
-        quiet.update(1, 10)
-        assert "stalled" not in quiet.render()
-        plain = CampaignProgress(stream=None)
-        plain.update(1, 10)
-        assert "stalled" not in plain.render()
+        campaign = Campaign(total=10)
+        campaign.emit("cell.dispatched", worker=0, cell_id="cell-0")
+        campaign.emit("worker.heartbeat", worker=0)
+        campaign.finish(1)
+        assert "stalled" not in campaign.line()
+        assert "stalled" not in Campaign(total=10).line()
 
     def test_raising_provider_is_swallowed(self):
-        def broken():
-            raise RuntimeError("snapshot gone")
+        # A display whose stream breaks is dropped by the bus; the
+        # snapshot keeps folding events.
+        class BrokenStream:
+            def write(self, text):
+                raise OSError("stderr gone")
 
-        progress = CampaignProgress(stream=None, stalled_provider=broken)
-        progress.update(1, 10)
-        line = progress.render()  # must not raise
-        assert "stalled" not in line
+        bus = TelemetryBus(heartbeat_interval=None)
+        snapshot = CampaignSnapshot("progress").attach(bus)
+        CampaignProgress(snapshot, stream=BrokenStream()).attach(bus)
+        bus.publish("campaign.started", total=2)
+        bus.publish("cell.finished", worker=None, verdict_class="proved")
+        bus.publish("cell.finished", worker=None, verdict_class="proved")
+        assert bus.dropped_subscribers == 1
+        assert snapshot.done == 2

@@ -5,6 +5,7 @@ import json
 from repro.obs import (
     NULL_RECORDER,
     CampaignProgress,
+    CampaignSnapshot,
     Recorder,
     get_recorder,
     merge_traces,
@@ -144,9 +145,6 @@ class TestCampaignProgress:
         from repro.core import CellResult, Verdict
         from repro.intervals import Box
 
-        clock = {"t": 0.0}
-        progress = CampaignProgress(stream=None, clock=lambda: clock["t"])
-
         def cell(verdict, tags=None):
             return CellResult(
                 cell_id="c",
@@ -156,23 +154,24 @@ class TestCampaignProgress:
                 tags=tags or {},
             )
 
-        clock["t"] = 10.0
-        progress.update(1, 4, cell(Verdict.PROVED_SAFE))
-        progress.update(2, 4, cell(Verdict.POSSIBLY_UNSAFE))
-        progress.update(
-            3, 4, cell(Verdict.POSSIBLY_UNSAFE, tags={"witness": [0.5]})
-        )
-        assert progress.proved == 1
-        assert progress.unproved == 1
-        assert progress.witnessed == 1
-        assert progress.rate == 3 / 10.0
-        assert progress.eta_seconds == (4 - 3) / (3 / 10.0)
+        snapshot = CampaignSnapshot("progress")
+        progress = CampaignProgress(snapshot, clock=lambda: 10.0)
+        snapshot.on_event({"ts": 0.0, "kind": "campaign.started", "total": 4})
+        for result in (
+            cell(Verdict.PROVED_SAFE),
+            cell(Verdict.POSSIBLY_UNSAFE),
+            cell(Verdict.POSSIBLY_UNSAFE, tags={"witness": [0.5]}),
+        ):
+            snapshot.on_event({
+                "ts": 10.0, "kind": "cell.finished",
+                "verdict_class": result.verdict_class(),
+            })
+        assert snapshot.verdicts["proved"] == 1
+        assert snapshot.verdicts["unproved"] == 1
+        assert snapshot.verdicts["witnessed"] == 1
+        assert snapshot.rate(10.0) == 3 / 10.0
+        assert snapshot.eta_seconds(10.0) == (4 - 3) / (3 / 10.0)
         line = progress.render()
         assert "cells 3/4" in line
+        assert "0.30 cell/s" in line
         assert "proved 1" in line
-
-    def test_plain_callback_compat(self):
-        progress = CampaignProgress(stream=None)
-        progress(5, 10)
-        assert progress.done == 5
-        assert progress.total == 10

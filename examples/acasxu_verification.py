@@ -21,7 +21,7 @@ import argparse
 
 from repro.core import ReachSettings, RefinementPolicy, RunnerSettings
 from repro.experiments import ExperimentConfig, render_report, run_experiment
-from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, use_bus
+from repro.obs import CampaignProgress, CampaignSnapshot, Recorder, use_recorder
 
 
 def main() -> None:
@@ -56,12 +56,12 @@ def main() -> None:
           f"({args.arcs} arcs x {args.headings} headings), "
           f"refinement depth {args.depth}, {args.workers} workers ...")
 
-    # Every campaign publishes its progress on the telemetry bus; a
-    # snapshot folds the events and the display prints it to stderr.
-    bus = TelemetryBus(heartbeat_interval=None)
-    snapshot = CampaignSnapshot("example").attach(bus)
-    CampaignProgress(snapshot, min_interval=5.0).attach(bus)
-    with use_bus(bus):
+    # Every campaign emits its progress as recorder events; a snapshot
+    # folds the events and the display prints it to stderr.
+    recorder = Recorder()
+    snapshot = CampaignSnapshot("example").attach(recorder)
+    CampaignProgress(snapshot, min_interval=5.0).attach(recorder)
+    with use_recorder(recorder):
         report = run_experiment(config)
     print()
     print(render_report(report))

@@ -61,14 +61,16 @@ DEFAULT_EXCLUDE = ("repro/intervals/rounding.py",)
 DEFAULT_PACKAGE_DISABLE = {"repro/intervals/batched.py": ("S006", "S008")}
 
 #: Where the concurrency pass (C001-C005) runs: the fork pool, the
-#: campaign drivers, the live-telemetry layer and the distributed
-#: control plane (coordinator event loop + node agent).
+#: campaign drivers, the recorder (shared with heartbeat threads), the
+#: live-telemetry layer and the distributed control plane (coordinator
+#: event loop + node agent).
 DEFAULT_CONCURRENCY_INCLUDE = (
     "repro/core/supervisor.py",
     "repro/core/runner.py",
     "repro/core/checkpoint.py",
     "repro/core/coordinator.py",
     "repro/core/node.py",
+    "repro/obs/recorder.py",
     "repro/obs/live.py",
 )
 

@@ -2,18 +2,23 @@
 
 Subcommands:
 
-* ``train``    — build (or load) the synthetic tables and network bank;
-* ``verify``   — run a partition verification experiment (Fig. 9 data);
-* ``show``     — render a saved report as the paper's figures;
-* ``falsify``  — hunt for concrete counterexamples in unproved cells;
-* ``simulate`` — run and print one concrete encounter;
-* ``fig7``     — the substep-tightness ablation;
-* ``stats``    — summarize a JSONL trace (per-phase timings, slow cells),
-  or one live snapshot with ``--live``;
-* ``watch``    — follow a running campaign live (per-worker table,
-  verdict bar, stall detection);
-* ``report``   — render ledger runs into a self-contained HTML dashboard;
-* ``compare``  — diff two ledger runs / a committed baseline (perf gate).
+* ``train``      — build (or load) the synthetic tables and network bank;
+* ``verify``     — run a partition verification experiment (Fig. 9 data);
+* ``coordinate`` — host a distributed campaign: shard, lease, merge;
+* ``node``       — join a distributed campaign as one node agent;
+* ``show``       — render a saved report as the paper's figures;
+* ``falsify``    — hunt for concrete counterexamples in unproved cells;
+* ``simulate``   — run and print one concrete encounter;
+* ``fig7``       — the substep-tightness ablation;
+* ``props``      — check the phi-style property catalog on the bank;
+* ``evaluate``   — Monte-Carlo operational evaluation (risk ratio);
+* ``export``     — write the trained bank as ``.nnet`` files;
+* ``stats``      — summarize a JSONL trace (per-phase timings, slow cells);
+* ``watch``      — follow a running campaign live (per-worker table,
+  verdict bar, stall detection); ``--once`` prints one frame;
+* ``report``     — render ledger runs into a self-contained HTML dashboard;
+* ``compare``    — diff two ledger runs / a committed baseline (perf gate);
+* ``check``      — soundness lint (S001-S008) and concurrency pass (C001-C005).
 
 ``verify``, ``falsify`` and ``evaluate`` accept ``--trace-out`` /
 ``--metrics-out`` / ``--log-level``, which install a live
@@ -61,9 +66,13 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _setup_observability(args: argparse.Namespace):
+def _setup_observability(
+    args: argparse.Namespace, heartbeat_interval: float | None = None
+):
     """Install a live recorder per the obs flags; returns it (or the
-    ambient no-op recorder when no flag was passed)."""
+    ambient no-op recorder when no flag was passed). Campaign commands
+    pass ``heartbeat_interval`` and always get a live recorder: their
+    progress line and live status are its subscribers."""
     from .obs import Recorder, get_recorder, set_recorder
 
     if getattr(args, "log_level", None):
@@ -73,8 +82,15 @@ def _setup_observability(args: argparse.Namespace):
             stream=sys.stderr,
         )
         logging.getLogger("repro").setLevel(getattr(logging, args.log_level.upper()))
-    if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
-        recorder = Recorder(trace_path=args.trace_out)
+    if (
+        heartbeat_interval is not None
+        or getattr(args, "trace_out", None)
+        or getattr(args, "metrics_out", None)
+    ):
+        recorder = Recorder(
+            trace_path=getattr(args, "trace_out", None),
+            heartbeat_interval=heartbeat_interval,
+        )
         set_recorder(recorder)
         return recorder
     return get_recorder()
@@ -99,30 +115,22 @@ def _campaign_telemetry(args: argparse.Namespace, kind: str):
     """Observability for one campaign command (``verify``,
     ``coordinate``); yields ``(run_id, recorder, live)``.
 
-    Metrics are always on: the end-of-run summary (p95 cell time) is
-    sourced from them; without ``--trace-out`` no trace file is
-    written. A :class:`repro.obs.TelemetryBus` with a
-    :class:`repro.obs.CampaignSnapshot` is always installed, and the
-    one-line stderr progress display renders that snapshot.
-    ``--no-live`` only skips the status files and the metrics server
-    (``live`` is then None).
+    A live :class:`repro.obs.Recorder` is always installed: the
+    end-of-run summary (p95 cell time) is sourced from its metrics,
+    and a :class:`repro.obs.CampaignSnapshot` subscribed to it feeds
+    the one-line stderr progress display. Without ``--trace-out`` no
+    trace file is written. ``--no-live`` only skips the status files
+    and the metrics server (``live`` is then None).
     """
     from .obs import (
         CampaignProgress,
         CampaignSnapshot,
         LiveTelemetry,
-        Recorder,
-        TelemetryBus,
         TelemetrySettings,
         new_run_id,
-        set_recorder,
-        use_bus,
     )
 
-    recorder = _setup_observability(args)
-    if not recorder.enabled:
-        recorder = Recorder()
-        set_recorder(recorder)
+    recorder = _setup_observability(args, heartbeat_interval=args.live_interval)
     # Mint the run id before the campaign so the live-status directory
     # (.repro/live/<run-id>/) and the ledger record share one name.
     run_id = new_run_id(kind)
@@ -132,23 +140,22 @@ def _campaign_telemetry(args: argparse.Namespace, kind: str):
     live = None
     if not args.no_live:
         try:
-            live = LiveTelemetry(run_id, settings, recorder=recorder)
+            live = LiveTelemetry(run_id, settings)
         except OSError as error:
             # A read-only checkout must not stop a verification run.
             print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
     if live is None:
-        bus = TelemetryBus(heartbeat_interval=settings.interval)
-        snapshot = CampaignSnapshot(run_id, settings).attach(bus)
-        scope = use_bus(bus)
+        snapshot = CampaignSnapshot(run_id, settings).attach(recorder)
     else:
-        bus, snapshot, scope = live.bus, live.snapshot, live
+        snapshot = live.snapshot
         print(f"live status: {live.status_path} (`repro watch {run_id}`)",
               file=sys.stderr)
         if live.server is not None:
             print(f"metrics endpoint: {live.server.url} "
                   "(/status.json, /metrics)", file=sys.stderr)
-    CampaignProgress(snapshot).attach(bus)
-    with scope:
+    with live or contextlib.nullcontext():
+        # After the snapshot, so each line counts the event behind it.
+        CampaignProgress(snapshot).attach(recorder)
         yield run_id, recorder, live
     _teardown_observability(args, recorder)
 
@@ -693,26 +700,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     from .obs import render_stats, summarize_trace_file
 
-    if args.live:
-        # One-shot snapshot of a (possibly still running) campaign,
-        # rendered exactly like a `repro watch` frame but without the
-        # TTY loop — pipe/cron friendly.
-        from .obs import read_status, render_watch
-
-        try:
-            status = read_status(args.live, root=args.live_dir)
-        except (FileNotFoundError, ValueError, json.JSONDecodeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(render_watch(status))
-        return 0
-    if not args.trace:
-        print(
-            "error: pass a trace file, or --live <run-id|path> for a "
-            "live-campaign snapshot",
-            file=sys.stderr,
-        )
-        return 1
     trace_path = Path(args.trace)
     if not trace_path.exists():
         print(f"error: no such trace: {trace_path}", file=sys.stderr)
@@ -1165,26 +1152,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=cmd_evaluate)
 
     p_stats = sub.add_parser(
-        "stats", help="summarize a JSONL trace (phase timings, slowest cells) "
-        "or a live campaign snapshot (--live)"
+        "stats", help="summarize a JSONL trace (phase timings, slowest cells)"
     )
     p_stats.add_argument(
-        "trace", nargs="?", help="trace file written via --trace-out"
+        "trace", help="trace file written via --trace-out, or a live "
+        "run's events.jsonl"
     )
     p_stats.add_argument(
         "--metrics", help="metrics snapshot written via --metrics-out"
     )
     p_stats.add_argument(
         "--top", type=int, default=10, help="how many slowest cells to list"
-    )
-    p_stats.add_argument(
-        "--live", metavar="RUN",
-        help="print one watch-style frame for this run id / directory / "
-        "status.json instead of summarizing a trace",
-    )
-    p_stats.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
     )
     p_stats.set_defaults(fn=cmd_stats)
 

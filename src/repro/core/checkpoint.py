@@ -27,9 +27,9 @@ from typing import Sequence
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import get_bus
 from ..testing.faults import get_fault_injector
 from .result import CellResult
+from .supervisor import publish_finished
 
 logger = logging.getLogger("repro.core.checkpoint")
 
@@ -94,14 +94,13 @@ def replay_journal(
 
     ``keys[i]`` is cell ``i``'s :func:`_cell_key` and ``tags[i]`` its
     tags, merged into the cached result. Each cached cell is counted
-    (``checkpoint.cells_skipped``) and published as ``cell.finished``
+    (``checkpoint.cells_skipped``) and recorded as ``cell.finished``
     with ``worker=None`` and ``cached=True``, so snapshot consumers
     can tell it from a verified one; a non-empty journal also records
     a ``journal.resume`` event.
     """
     finished = load_journal(path)
     rec = get_recorder()
-    bus = get_bus()
     cached: dict[int, CellResult] = {}
     for i, key in enumerate(keys):
         result = finished.get(key)
@@ -110,16 +109,7 @@ def replay_journal(
         result.tags.update(tags[i])
         cached[i] = result
         rec.inc("checkpoint.cells_skipped")
-        bus.publish(
-            "cell.finished",
-            worker=None,
-            cell_id=f"cell-{i}",
-            seq=i,
-            verdict=result.verdict.value,
-            verdict_class=result.verdict_class(),
-            elapsed=0.0,
-            cached=True,
-        )
+        publish_finished(None, i, result, cached=True)
     if finished:
         rec.event("journal.resume", path=str(path), finished_cells=len(finished))
         logger.info(

@@ -52,7 +52,6 @@ from typing import Callable, Sequence
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import get_bus
 from .checkpoint import (
     _cell_key,
     _JournalWriter,
@@ -62,7 +61,7 @@ from .checkpoint import (
 from .lease import LeaseTable, assign_shards
 from .result import CellResult, VerificationReport
 from .runner import RunnerSettings, finish_report
-from .supervisor import trap_shutdown_signals
+from .supervisor import publish_finished, trap_shutdown_signals
 from .wire import FrameDecoder, FrameError, parse_hostport, send_frame
 
 logger = logging.getLogger("repro.core.coordinator")
@@ -175,7 +174,6 @@ class Coordinator:
         journal_path: str | Path,
         settings: RunnerSettings | None = None,
         dist: DistributedSettings | None = None,
-        welcome_config: dict | None = None,
     ):
         self.settings = settings or RunnerSettings()
         self.dist = dist or DistributedSettings()
@@ -201,19 +199,16 @@ class Coordinator:
             max_backoff=self.dist.max_backoff,
         )
         #: What remote ``repro node`` agents rebuild their pool from.
-        self.welcome_config = dict(welcome_config or {})
-        self.welcome_config.setdefault("substeps", self.settings.reach.substeps)
-        self.welcome_config.setdefault("gamma", self.settings.reach.max_symbolic_states)
-        self.welcome_config.setdefault(
-            "depth",
-            self.settings.refinement.max_depth if self.settings.refinement else 0,
-        )
-        if self.settings.refinement is not None:
-            self.welcome_config.setdefault(
-                "refinement_dims", list(self.settings.refinement.dims)
-            )
-        self.welcome_config.setdefault("cell_timeout", self.settings.cell_timeout)
-        self.welcome_config.setdefault("max_retries", self.settings.max_retries)
+        refinement = self.settings.refinement
+        self.welcome_config = {
+            "substeps": self.settings.reach.substeps,
+            "gamma": self.settings.reach.max_symbolic_states,
+            "depth": refinement.max_depth if refinement else 0,
+        }
+        if refinement is not None:
+            self.welcome_config["refinement_dims"] = list(refinement.dims)
+        self.welcome_config["cell_timeout"] = self.settings.cell_timeout
+        self.welcome_config["max_retries"] = self.settings.max_retries
 
         #: index -> accepted result (journal-cached and streamed alike).
         self.results: dict[int, CellResult] = {}
@@ -279,9 +274,8 @@ class Coordinator:
         node agents may connect before or after serve() begins."""
         assert self._sel is not None, "call start() first"
         rec = get_recorder()
-        bus = get_bus()
         run_started = time.perf_counter()
-        bus.publish(
+        rec.event(
             "campaign.started",
             total=len(self.parsed),
             workers=0,
@@ -308,18 +302,13 @@ class Coordinator:
                             reason=self.interrupted,
                             outstanding_shards=self.table.outstanding(),
                         )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=self.interrupted,
-                            outstanding_shards=self.table.outstanding(),
-                        )
                         break
                     events = self._sel.select(timeout=self.dist.poll_interval)
                     for key, _mask in events:
                         if key.data == "listener":
                             self._accept()
                         else:
-                            self._read(key.data, journal, bus)
+                            self._read(key.data, journal)
                     now = time.monotonic()
                     for lease in self.table.expire_due(now):
                         self.stats.expired_leases += 1
@@ -329,15 +318,15 @@ class Coordinator:
                             lease.shard_id, lease.epoch, lease.node_id,
                             self.dist.lease_timeout,
                         )
-                        bus.publish(
+                        rec.event(
                             "lease.expired",
                             node=lease.node_id,
                             shard=lease.shard_id,
                             epoch=lease.epoch,
                             reason="lease-timeout",
                         )
-                    self._grant_idle(journal, bus, now)
-            self._shutdown_nodes(bus)
+                    self._grant_idle(journal, now)
+            self._shutdown_nodes()
         return finish_report(
             self.results,
             self.settings,
@@ -363,7 +352,7 @@ class Coordinator:
         self._conns[sock] = conn
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
-    def _disconnect(self, conn: _Conn, bus, reason: str) -> None:
+    def _disconnect(self, conn: _Conn, reason: str) -> None:
         assert self._sel is not None
         try:
             self._sel.unregister(conn.sock)
@@ -376,7 +365,8 @@ class Coordinator:
             pass
         if conn.node_id is not None and self._nodes.get(conn.node_id) is conn:
             del self._nodes[conn.node_id]
-            bus.publish("node.disconnected", node=conn.node_id, reason=reason)
+            rec = get_recorder()
+            rec.event("node.disconnected", node=conn.node_id, reason=reason)
             now = time.monotonic()
             for lease in self.table.expire_node(conn.node_id, now, reason):
                 self.stats.expired_leases += 1
@@ -384,7 +374,7 @@ class Coordinator:
                     "lease expired: %s epoch %d — %s %s",
                     lease.shard_id, lease.epoch, conn.node_id, reason,
                 )
-                bus.publish(
+                rec.event(
                     "lease.expired",
                     node=conn.node_id,
                     shard=lease.shard_id,
@@ -392,34 +382,34 @@ class Coordinator:
                     reason=reason,
                 )
 
-    def _read(self, conn: _Conn, journal: _JournalWriter, bus) -> None:
+    def _read(self, conn: _Conn, journal: _JournalWriter) -> None:
         try:
             data = conn.sock.recv(_RECV_CHUNK)
         except (OSError, socket.timeout):
-            self._disconnect(conn, bus, "recv-error")
+            self._disconnect(conn, "recv-error")
             return
         if not data:
-            self._disconnect(conn, bus, "disconnect")
+            self._disconnect(conn, "disconnect")
             return
         try:
             frames = conn.decoder.feed(data)
         except FrameError as exc:
             logger.warning("%s: protocol error: %s", conn.addr, exc)
-            self._disconnect(conn, bus, "protocol-error")
+            self._disconnect(conn, "protocol-error")
             return
         for frame in frames:
-            self._dispatch(conn, frame, journal, bus)
+            self._dispatch(conn, frame, journal)
 
-    def _send(self, conn: _Conn, payload: dict, bus) -> None:
+    def _send(self, conn: _Conn, payload: dict) -> None:
         try:
             send_frame(conn.sock, payload)
         except (OSError, FrameError):
-            self._disconnect(conn, bus, "send-error")
+            self._disconnect(conn, "send-error")
 
     # -- frame handlers ------------------------------------------------
-    def _fence(self, conn: _Conn, frame: dict, bus) -> None:
+    def _fence(self, conn: _Conn, frame: dict) -> None:
         self.stats.fenced_frames += 1
-        bus.publish(
+        get_recorder().event(
             "node.fenced",
             node=frame.get("node"),
             shard=frame.get("shard"),
@@ -430,12 +420,10 @@ class Coordinator:
             conn,
             {"type": "fence", "shard": frame.get("shard"),
              "epoch": frame.get("epoch")},
-            bus,
         )
 
-    def _dispatch(
-        self, conn: _Conn, frame: dict, journal: _JournalWriter, bus
-    ) -> None:
+    def _dispatch(self, conn: _Conn, frame: dict, journal: _JournalWriter) -> None:
+        rec = get_recorder()
         kind = frame.get("type")
         if kind == "hello":
             node_id = str(frame.get("node"))
@@ -450,15 +438,13 @@ class Coordinator:
             conn.busy = False
             if node_id not in self.stats.nodes_seen:
                 self.stats.nodes_seen.append(node_id)
-            bus.publish(
+            rec.event(
                 "node.connected",
                 node=node_id,
                 workers=frame.get("workers"),
                 pid=frame.get("pid"),
             )
-            self._send(
-                conn, {"type": "welcome", "config": self.welcome_config}, bus
-            )
+            self._send(conn, {"type": "welcome", "config": self.welcome_config})
             return
         if conn.node_id is None:
             logger.warning("%s: frame before hello; dropping", conn.addr)
@@ -476,9 +462,9 @@ class Coordinator:
             if shard_id is not None and not self.table.renew(
                 shard_id, node_id, epoch, time.monotonic()
             ):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
-            bus.publish(
+            rec.event(
                 "node.heartbeat",
                 node=node_id,
                 shard=shard_id,
@@ -496,7 +482,7 @@ class Coordinator:
             if shard_id is None or not self.table.is_current(
                 shard_id, node_id, epoch
             ):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
             self.table.renew(shard_id, node_id, epoch, time.monotonic())
             key = frame.get("key")
@@ -517,31 +503,20 @@ class Coordinator:
                 key, result,
                 extra={"shard": shard_id, "epoch": epoch, "node": node_id},
             )
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                node=node_id,
-                cell_id=f"cell-{index}",
-                seq=index,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-            )
+            publish_finished(None, index, result, node=node_id)
             return
         if kind == "shard_done":
             conn.busy = False
             if shard_id is None or not self.table.complete(shard_id, node_id, epoch):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
-            bus.publish(
-                "lease.completed", node=node_id, shard=shard_id, epoch=epoch
-            )
+            rec.event("lease.completed", node=node_id, shard=shard_id, epoch=epoch)
             logger.info("%s completed %s (epoch %d)", node_id, shard_id, epoch)
             return
         logger.warning("%s: unknown frame type %r", node_id, kind)
 
     # -- granting ------------------------------------------------------
-    def _grant_idle(self, journal: _JournalWriter, bus, now: float) -> None:
+    def _grant_idle(self, journal: _JournalWriter, now: float) -> None:
         # Enrollment barrier, not a liveness requirement: hold the first
         # grants until the expected fleet has said hello (so the initial
         # spread is balanced and deterministic), but once enrolled, keep
@@ -570,7 +545,7 @@ class Coordinator:
                 # Everything streamed in before the previous holder's
                 # lease died — nothing left to steal.
                 self.table.force_complete(shard_id)
-                bus.publish(
+                get_recorder().event(
                     "lease.completed", node=None, shard=shard_id,
                     epoch=self.table.epoch(shard_id),
                 )
@@ -613,7 +588,7 @@ class Coordinator:
                 }
                 for i in pending
             ]
-            bus.publish(
+            get_recorder().event(
                 "lease.granted",
                 node=node_id,
                 shard=shard_id,
@@ -636,15 +611,14 @@ class Coordinator:
                     "epoch": lease.epoch,
                     "cells": cells_payload,
                 },
-                bus,
             )
 
     # -- teardown ------------------------------------------------------
-    def _shutdown_nodes(self, bus) -> None:
+    def _shutdown_nodes(self) -> None:
         for conn in list(self._conns.values()):
-            self._send(conn, {"type": "shutdown"}, bus)
+            self._send(conn, {"type": "shutdown"})
         for conn in list(self._conns.values()):
-            self._disconnect(conn, bus, "shutdown")
+            self._disconnect(conn, "shutdown")
         if self._listener is not None:
             try:
                 if self._sel is not None:
@@ -684,7 +658,7 @@ def run_distributed(
     """
     import multiprocessing
 
-    from ..obs.live import set_bus
+    from ..obs import set_recorder
     from .node import NodeSettings, run_node
 
     settings = settings or RunnerSettings()
@@ -697,12 +671,9 @@ def run_distributed(
     ctx = multiprocessing.get_context("fork")
 
     def agent_main(node_index: int) -> None:
-        # The fork inherits the parent's live bus and recorder; the
-        # agent must not write to either (the parent owns those file
-        # handles and threads).
-        set_bus(None)
-        from ..obs import set_recorder
-
+        # The fork inherits the parent's recorder; the agent must not
+        # write to it (the parent owns its file handles, subscribers
+        # and threads).
         set_recorder(None)
         for key, value in (node_env or {}).items():
             os.environ[key] = value

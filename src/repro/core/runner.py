@@ -31,7 +31,7 @@ import numpy as np
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import HeartbeatReporter, get_bus
+from ..obs.live import HeartbeatReporter
 from .checkpoint import _cell_key, _JournalWriter, replay_journal
 from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
@@ -255,7 +255,7 @@ def run_cells(
 
     Both paths size chunks with
     :func:`~repro.core.supervisor.chunk_size`, verify each with
-    :func:`~repro.core.supervisor.run_cell_guarded`, publish one
+    :func:`~repro.core.supervisor.run_cell_guarded`, record one
     ``cell.dispatched`` and one ``cell.finished`` per cell, stop
     dispatching on a deadline or SIGINT/SIGTERM, and call
     ``on_result(task_index, result)`` as each cell finishes. In this
@@ -267,17 +267,17 @@ def run_cells(
     outcome = SupervisorOutcome()
     if not tasks:
         return outcome
-    bus = get_bus()
+    rec = get_recorder()
     system = system_factory()
     # The serial driver is its own "worker 0": a heartbeat thread beats
-    # from this process, when the bus asks for beats, so stall detection
-    # (`repro watch`) works for single-worker campaigns too.
-    bus.publish("worker.ready", worker=0, pid=os.getpid())
+    # from this process, when the recorder asks for beats, so stall
+    # detection (`repro watch`) works for single-worker campaigns too.
+    rec.event("worker.ready", worker=0, pid=os.getpid())
     reporter = None
-    if bus.heartbeat_interval is not None:
+    if rec.heartbeat_interval is not None:
         reporter = HeartbeatReporter(
-            lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-            bus.heartbeat_interval,
+            lambda payload: rec.event("worker.heartbeat", worker=0, **payload),
+            rec.heartbeat_interval,
         ).start()
     pending = deque(range(len(tasks)))
     try:
@@ -297,7 +297,7 @@ def run_cells(
                     pending.popleft() for _ in range(chunk_size(len(pending), 1, settings))
                 ]
                 for seq in chunk:
-                    bus.publish(
+                    rec.event(
                         "cell.dispatched", worker=0, cell_id=tasks[seq][0], seq=seq,
                         attempt=0,
                     )
@@ -307,7 +307,7 @@ def run_cells(
                 for seq, result in zip(chunk, results):
                     if reporter is not None:
                         reporter.end_cell()
-                    publish_finished(bus, 0, seq, result)
+                    publish_finished(0, seq, result)
                     outcome.results[seq] = result
                     if on_result is not None:
                         on_result(seq, result)
@@ -326,8 +326,8 @@ def finish_report(
 ) -> VerificationReport:
     """The report tail every campaign shares: the finished cells in
     partition order, the settings summary (plus ``summary`` entries),
-    the recorder's metrics snapshot, and ``campaign.finished`` on the
-    bus."""
+    the recorder's metrics snapshot, and the ``campaign.finished``
+    event."""
     report = VerificationReport(cells=[results[i] for i in sorted(results)])
     report.wall_seconds = time.perf_counter() - run_started
     report.settings_summary = {
@@ -345,7 +345,7 @@ def finish_report(
     rec = get_recorder()
     if rec.enabled:
         report.metrics = rec.metrics.snapshot()
-    get_bus().publish(
+    rec.event(
         "campaign.finished",
         interrupted=interrupted,
         verdicts=report.verdict_counts(),
@@ -377,8 +377,8 @@ def verify_partition(
     budget overruns become ``TIMED_OUT``, and a deadline or
     SIGINT/SIGTERM yields a partial report
     (``settings_summary["interrupted"]`` names the reason). Progress
-    is published on the telemetry bus (:func:`repro.obs.get_bus`): one
-    ``cell.finished`` event per cell, which
+    is emitted on the current recorder (:func:`repro.obs.get_recorder`):
+    one ``cell.finished`` event per cell, which
     :class:`repro.obs.CampaignSnapshot` folds into rate, ETA and
     verdict counts.
 
@@ -401,7 +401,7 @@ def verify_partition(
         tags = dict(cell[2]) if len(cell) > 2 else {}
         tasks.append((f"cell-{i}", box, command, tags))
 
-    get_bus().publish(
+    get_recorder().event(
         "campaign.started",
         total=len(tasks),
         workers=settings.workers,

@@ -52,8 +52,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
-from ..obs.live import HeartbeatReporter, get_bus
-from ..obs.live import set_bus as set_live_bus
+from ..obs.live import HeartbeatReporter
 from ..testing.faults import get_fault_injector
 from .reach import Verdict
 from .result import CellResult
@@ -283,8 +282,10 @@ def chunk_label(cell_ids: Sequence[str]) -> str:
     return f"{cell_ids[0]}..{cell_ids[-1]} ({len(cell_ids)} cells)"
 
 
-def publish_finished(bus, worker: int | None, seq: int, result: CellResult) -> None:
-    bus.publish(
+def publish_finished(worker: int | None, seq: int, result: CellResult, **extra) -> None:
+    """The one ``cell.finished`` event of cell ``seq`` (``extra``: a
+    coordinator's ``node=``, a journal replay's ``cached=True``)."""
+    get_recorder().event(
         "cell.finished",
         worker=worker,
         cell_id=result.cell_id,
@@ -293,13 +294,13 @@ def publish_finished(bus, worker: int | None, seq: int, result: CellResult) -> N
         verdict_class=result.verdict_class(),
         elapsed=result.elapsed_seconds,
         attempts=result.attempts,
+        **extra,
     )
 
 
 def announce_interrupt(reason: str, dropped: int, in_flight: int = 0) -> None:
-    """Trace, publish and log that a campaign stopped dispatching."""
+    """Record and log that a campaign stopped dispatching."""
     get_recorder().event("campaign.interrupted", reason=reason, dropped_cells=dropped)
-    get_bus().publish("campaign.interrupted", reason=reason, dropped_cells=dropped)
     logger.warning(
         "campaign interrupted (%s): %d cells not dispatched; draining %d in-flight",
         reason, dropped, in_flight,
@@ -398,13 +399,11 @@ def _worker_main(
             daemon=True,
             name="parent-watchdog",
         ).start()
-    # The forked child inherits the parent's live telemetry bus, whose
-    # subscribers hold parent-owned file handles and server threads:
-    # drop it. Worker liveness flows back through the pipe instead.
-    set_live_bus(None)
-    # The forked child inherits the parent's recorder (and its open
-    # trace file descriptor, which must not be shared): install a fresh
-    # per-worker recorder writing to its own JSONL file.
+    # The forked child inherits the parent's recorder: its open trace
+    # file descriptor must not be shared, and its subscribers hold
+    # parent-owned file handles and server threads. Install a fresh
+    # per-worker recorder writing to its own JSONL file; worker
+    # liveness flows back through the pipe instead.
     if observe:
         trace = worker_trace_path(Path(parent_trace)) if parent_trace is not None else None
         set_recorder(Recorder(trace_path=trace))
@@ -552,6 +551,8 @@ def run_supervised(
     cells. Once the failing cell is alone, the retry,
     backoff and quarantine rules apply to it.
 
+    Lifecycle events (spawn, dispatch, heartbeat, finish, crash,
+    retry, quarantine, respawn) go to the current recorder.
     ``on_result`` is called in the supervisor loop (parent process,
     completion order) with ``(task_index, result)`` as each cell
     finishes — the checkpoint journal hangs off it. Worker trace files
@@ -561,7 +562,6 @@ def run_supervised(
     fails: that is a configuration error, not a transient fault.
     """
     rec = get_recorder()
-    bus = get_bus()
     outcome = SupervisorOutcome()
     total = len(tasks)
     if total == 0:
@@ -571,7 +571,7 @@ def run_supervised(
     ctx = multiprocessing.get_context("fork")
     pool_size = min(settings.workers, total)
     hard_budget = _hard_kill_budget(settings)
-    heartbeat = bus.heartbeat_interval
+    heartbeat = rec.heartbeat_interval
 
     pending: deque[int] = deque(range(total))  # cells never dispatched
     requeued: deque[list[int]] = deque()  # split halves and due retries
@@ -599,7 +599,7 @@ def run_supervised(
         proc.start()
         child_conn.close()  # the child holds its own copy; EOF now means death
         workers[wid] = _WorkerHandle(id=wid, proc=proc, conn=parent_conn)
-        bus.publish("worker.spawned", worker=wid)
+        rec.event("worker.spawned", worker=wid)
 
     def finish(seq: int, result: CellResult) -> None:
         outcome.results[seq] = result
@@ -622,14 +622,14 @@ def run_supervised(
             if verdict is Verdict.ABORTED
             else "runner.cells_timed_out"
         )
-        bus.publish(
+        rec.event(
             "cell.quarantined",
             cell_id=cell_id,
             verdict=verdict.value,
             reason=reason.get("kind"),
             attempts=dispatches,
         )
-        publish_finished(bus, None, seq, result)
+        publish_finished(None, seq, result)
         finish(seq, result)
 
     def take_chunk() -> list[int]:
@@ -659,7 +659,6 @@ def run_supervised(
         )
         rec.inc("runner.worker_crashes")
         rec.event("worker.crash", **crash)
-        bus.publish("worker.crash", **crash)
         if len(chunk) > 1:
             split(chunk, f"worker {worker.id} died (exit {exitcode})")
             return
@@ -671,7 +670,7 @@ def run_supervised(
                 "worker %d died (exit %s) on %s; retry %d/%d in %.2gs",
                 worker.id, exitcode, cell_id, attempts[seq], settings.max_retries, delay,
             )
-            bus.publish(
+            rec.event(
                 "cell.retried",
                 cell_id=cell_id,
                 seq=seq,
@@ -696,9 +695,9 @@ def run_supervised(
         kind = message[0]
         if kind == "ready":
             worker.ready = True
-            bus.publish("worker.ready", worker=worker.id, pid=message[2])
+            rec.event("worker.ready", worker=worker.id, pid=message[2])
         elif kind == "heartbeat":
-            bus.publish("worker.heartbeat", worker=worker.id, **message[2])
+            rec.event("worker.heartbeat", worker=worker.id, **message[2])
         elif kind == "init_error":
             fatal = RuntimeError(
                 f"worker {message[1]} could not build the system: "
@@ -709,7 +708,7 @@ def run_supervised(
             chunk, _ = worker.current
             worker.current = None
             for seq, result in zip(chunk, results):
-                publish_finished(bus, worker.id, seq, result)
+                publish_finished(worker.id, seq, result)
             if delta is not None and rec.enabled:
                 try:
                     rec.metrics.merge_snapshot(delta)
@@ -782,7 +781,7 @@ def run_supervised(
                         continue
                     worker.current = (chunk, now + hard_budget if hard_budget else None)
                     for seq in chunk:
-                        bus.publish(
+                        rec.event(
                             "cell.dispatched",
                             worker=worker.id,
                             cell_id=tasks[seq][0],
@@ -846,12 +845,6 @@ def run_supervised(
                         "worker.killed", worker=worker.id, cell_id=cell_id,
                         budget_seconds=settings.cell_timeout,
                     )
-                    bus.publish(
-                        "worker.killed",
-                        worker=worker.id,
-                        cell_id=cell_id,
-                        budget_seconds=settings.cell_timeout,
-                    )
                     worker.current = None
                     _terminate(worker.proc)
                     quarantine(
@@ -877,7 +870,6 @@ def run_supervised(
                         outcome.respawns += 1
                         rec.inc("runner.worker_respawns")
                         rec.event("worker.respawn")
-                        bus.publish("worker.respawn")
         finally:
             for worker in workers.values():
                 try:

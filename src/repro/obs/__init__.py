@@ -1,19 +1,20 @@
 """repro.obs — structured observability for the verification stack.
 
-Three cooperating pieces, all optional and all off by default:
+One ambient handle, the **recorder** (:func:`get_recorder`), carries
+everything, and it is off by default:
 
 * **Metrics** (:class:`MetricsRegistry`): counters, gauges and timing
   histograms with p50/p95/max, snapshot/merge-able across the fork-pool
   worker boundary;
-* **Tracing** (:func:`get_recorder` / ``rec.span(...)``): span and
-  point events streamed to a JSONL file, summarized by ``repro stats``;
-* **Live telemetry** (:func:`get_bus` / :class:`TelemetryBus`): typed
-  campaign events; :class:`CampaignSnapshot` folds them into rate,
-  ETA, verdict counts and stall state, which the status files, the
-  metrics endpoint and the one-line :class:`CampaignProgress` display
-  all read.
+* **Spans and events** (``rec.span(...)``, ``rec.event(...)``): streamed
+  to a JSONL trace file, summarized by ``repro stats``;
+* **Live telemetry**: the recorder passes every event to its
+  subscribers. :class:`CampaignSnapshot` folds campaign events into
+  rate, ETA, verdict counts and stall state, which the status files
+  (:class:`LiveStatusWriter`), the metrics endpoint and the one-line
+  :class:`CampaignProgress` display all read.
 
-On top of those sit the cross-run pieces (PR 3): the **ledger**
+On top of those sit the cross-run pieces: the **ledger**
 (:mod:`repro.obs.ledger` — durable per-run records under
 ``.repro/runs/``), the **HTML dashboard**
 (:func:`render_html_report`, ``repro report``) and **regression
@@ -24,8 +25,8 @@ The default recorder is a shared no-op whose calls cost a couple of
 attribute lookups, so the instrumentation threaded through
 :mod:`repro.core`, :mod:`repro.ode` and :mod:`repro.verify` is free
 unless a real :class:`Recorder` is installed (``set_recorder`` /
-``use_recorder``), which the CLI does when ``--trace-out`` or
-``--metrics-out`` is passed.
+``use_recorder``), which campaign commands always do and the other
+commands do when ``--trace-out`` or ``--metrics-out`` is passed.
 """
 
 from .ledger import (
@@ -42,25 +43,19 @@ from .ledger import (
     record_run,
 )
 from .live import (
-    NULL_BUS,
     CampaignSnapshot,
     HeartbeatReporter,
     LiveStatusWriter,
     LiveTelemetry,
     MetricsServer,
     NodeState,
-    NullTelemetryBus,
-    TelemetryBus,
     TelemetrySettings,
-    get_bus,
     list_live_runs,
     live_root,
     prune_stale_runs,
     read_status,
     render_prometheus,
     render_watch,
-    set_bus,
-    use_bus,
     write_status_atomic,
 )
 from .metrics import MetricsRegistry, TimingHistogram
@@ -104,21 +99,17 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "NodeState",
-    "NULL_BUS",
     "NULL_RECORDER",
     "NullRecorder",
-    "NullTelemetryBus",
     "PHASE_SPANS",
     "PhaseDelta",
     "Recorder",
     "RunRecord",
-    "TelemetryBus",
     "TelemetrySettings",
     "TimingHistogram",
     "TraceSummary",
     "compare_records",
     "format_eta",
-    "get_bus",
     "get_recorder",
     "git_revision",
     "latest_run",
@@ -143,11 +134,9 @@ __all__ = [
     "render_prometheus",
     "render_stats",
     "render_watch",
-    "set_bus",
     "set_recorder",
     "summarize_trace",
     "summarize_trace_file",
-    "use_bus",
     "use_recorder",
     "worker_trace_path",
     "write_events",

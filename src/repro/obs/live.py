@@ -1,37 +1,33 @@
 """repro.obs.live — live campaign telemetry.
 
-Everything observability gave the campaign so far (PR 1/3/5) is
-post-hoc: traces and the ledger are read after the run, and the
-supervisor's recorder events are merged when the pool shuts down. A
-multi-day campaign (the paper's full evaluation ran ~12 days) needs
-the opposite: a continuously updated, externally consumable view of a
-run that is still in flight. This module provides it in four layers:
+Traces and the ledger are read after a run; a multi-day campaign (the
+paper's full evaluation ran ~12 days) also needs a continuously
+updated, externally consumable view of a run that is still in flight.
+Campaign code emits typed events on the ambient recorder
+(:func:`~repro.obs.recorder.get_recorder`): ``worker.heartbeat``,
+``cell.dispatched``, ``cell.finished``, ``cell.retried``,
+``cell.quarantined``, ``worker.crash``, ``campaign.started`` ... This
+module subscribes to them in three layers:
 
-* **TelemetryBus** — an in-process pub/sub channel the supervisor and
-  runner publish typed events onto (``worker.heartbeat``,
-  ``cell.dispatched``, ``cell.finished``, ``cell.retried``,
-  ``cell.quarantined``, ``worker.crash``, ``campaign.started`` ...).
-  Like the recorder, the bus is ambient (:func:`get_bus` /
-  :func:`set_bus`) and the default is a shared no-op, so instrumented
-  code pays nothing unless telemetry is switched on.
-* **CampaignSnapshot** — a bus subscriber folding the event stream
-  into one aggregate: campaign progress, rate/ETA, verdict counts,
+* **CampaignSnapshot** — folds the event stream into one aggregate:
+  campaign progress, rate/ETA, verdict counts,
   quarantine/retry/respawn counters, and a per-worker table (PID, RSS,
   cells completed, current cell + time-in-cell, heartbeat age, stall
   flag). Thread-safe, because the metrics endpoint reads it from a
   server thread while the supervisor loop updates it.
 * **LiveStatusWriter** — persists the snapshot under
-  ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` plus a
-  ``status.json`` rewritten via atomic rename at a configurable
-  interval, so any external process (``repro watch``, ``repro stats
-  --live``, a dashboard) can follow the campaign crash-safely — a
-  reader never sees a torn file, and a killed campaign leaves a status
-  file whose staleness is itself the signal. Stale directories from
-  crashed runs are pruned on the next campaign start.
+  ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` (a trace
+  file ``repro stats`` reads) plus a ``status.json`` rewritten via
+  atomic rename at most once per heartbeat interval, so any external
+  process (``repro watch``, a dashboard) can follow the campaign
+  crash-safely — a reader never sees a torn file, and a killed
+  campaign leaves a status file whose staleness is itself the signal.
+  Stale directories from crashed runs are pruned on the next campaign
+  start.
 * **MetricsServer** — an opt-in stdlib HTTP endpoint
   (``--metrics-port``) serving the same snapshot as JSON
-  (``/status.json``) and Prometheus text format (``/metrics``): the
-  seed of the ``repro serve`` streaming layer.
+  (``/status.json``) and Prometheus text format (``/metrics``), plus
+  the recorder's internal metrics.
 
 Heartbeats come from *inside* each worker (a daemon thread writing to
 the worker's pipe), not from parent-side bookkeeping — so a worker
@@ -42,16 +38,17 @@ have stopped. :func:`stalled` flags exactly that case.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable
+
+from .recorder import NullRecorder, Recorder, get_recorder, set_recorder
 
 logger = logging.getLogger("repro.obs.live")
 
@@ -61,6 +58,10 @@ DEFAULT_LIVE_DIR = ".repro/live"
 #: A run whose status file has not been touched for this long is a
 #: leftover from a crashed/killed campaign; prune it on the next start.
 DEFAULT_PRUNE_AFTER = 24 * 3600.0
+
+#: A worker whose newest heartbeat is older than ``STALL_FACTOR``
+#: heartbeat intervals while a cell is in flight is stalled.
+STALL_FACTOR = 3.0
 
 
 def live_root(root: str | Path | None = None) -> Path:
@@ -95,143 +96,27 @@ def rss_bytes() -> int:
 
 
 # ----------------------------------------------------------------------
-# The bus
-# ----------------------------------------------------------------------
-class NullTelemetryBus:
-    """The default bus: ``publish`` is a no-op costing one attribute
-    lookup and a truth test at each call site (via ``enabled``)."""
-
-    enabled = False
-    #: Worker heartbeat period; ``None`` tells the pool not to start
-    #: heartbeat threads at all.
-    heartbeat_interval: float | None = None
-
-    def publish(self, kind: str, **fields) -> None:
-        return None
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:  # pragma: no cover
-        raise RuntimeError("cannot subscribe to the null telemetry bus")
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        return None
-
-
-NULL_BUS = NullTelemetryBus()
-
-
-class TelemetryBus(NullTelemetryBus):
-    """Synchronous in-process pub/sub for campaign telemetry events.
-
-    An event is a plain dict ``{"ts": unix_time, "kind": ..., **fields}``.
-    Publishing fans out to every subscriber under a lock (publishers
-    live on several threads: the supervisor loop, serial heartbeat
-    threads). A raising subscriber is dropped from the fan-out for the
-    rest of the run and counted — telemetry must never be able to take
-    a campaign down.
-    """
-
-    enabled = True
-
-    def __init__(self, heartbeat_interval: float | None = 1.0) -> None:
-        self.heartbeat_interval = heartbeat_interval
-        self._lock = threading.RLock()
-        self._subscribers: list[Callable[[dict], None]] = []
-        self.dropped_subscribers = 0
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:
-        with self._lock:
-            self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        with self._lock:
-            if fn in self._subscribers:
-                self._subscribers.remove(fn)
-
-    def publish(self, kind: str, **fields) -> None:
-        event = {"ts": time.time(), "kind": kind}
-        event.update(fields)
-        with self._lock:
-            for fn in list(self._subscribers):
-                try:
-                    fn(event)
-                except Exception as exc:
-                    self.dropped_subscribers += 1
-                    self._subscribers.remove(fn)
-                    logger.warning(
-                        "telemetry subscriber %r raised %s: %s; dropped",
-                        fn, type(exc).__name__, exc,
-                    )
-
-
-# -- the ambient (per-process) current bus -----------------------------
-_CURRENT: NullTelemetryBus = NULL_BUS
-
-
-def get_bus() -> NullTelemetryBus:
-    """The process-wide current telemetry bus (no-op by default)."""
-    return _CURRENT
-
-
-def set_bus(bus: NullTelemetryBus | None) -> NullTelemetryBus:
-    """Install ``bus`` (``None`` restores the no-op); returns the
-    previous one so callers can restore it. Fork-pool workers must not
-    inherit the parent's live bus (its subscribers hold the parent's
-    file handles and server thread), so the worker entrypoint resets
-    this to the null bus immediately after fork."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = bus if bus is not None else NULL_BUS
-    return previous
-
-
-@contextlib.contextmanager
-def use_bus(bus: NullTelemetryBus) -> Iterator[NullTelemetryBus]:
-    """Scoped :func:`set_bus` (restores the previous bus)."""
-    previous = set_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_bus(previous)
-
-
-# ----------------------------------------------------------------------
 # Settings
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TelemetrySettings:
     """How live telemetry behaves for one campaign."""
 
-    #: Worker heartbeat period in seconds.
+    #: Worker heartbeat period in seconds; ``status.json`` is rewritten
+    #: at most this often.
     interval: float = 1.0
-    #: How often ``status.json`` is rewritten (defaults to ``interval``).
-    status_interval: float | None = None
-    #: A worker whose newest heartbeat is older than
-    #: ``stall_factor * interval`` while a cell is in flight is stalled.
-    stall_factor: float = 3.0
     #: Live-status store (default: ``$REPRO_LIVE`` or ``.repro/live``).
     root: str | Path | None = None
-    #: Also append every bus event to ``events.jsonl``.
-    write_events: bool = True
     #: Serve the snapshot over HTTP (0 = ephemeral port, None = off).
     metrics_port: int | None = None
-    #: Age after which a leftover run directory is pruned at start.
-    prune_after: float = DEFAULT_PRUNE_AFTER
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError("interval must be positive")
-        if self.status_interval is not None and self.status_interval <= 0:
-            raise ValueError("status_interval must be positive (or None)")
-        if self.stall_factor <= 0:
-            raise ValueError("stall_factor must be positive")
-
-    @property
-    def effective_status_interval(self) -> float:
-        return self.status_interval if self.status_interval is not None else self.interval
 
     @property
     def stall_after(self) -> float:
-        return self.stall_factor * self.interval
+        return STALL_FACTOR * self.interval
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +241,9 @@ class NodeState:
 
 
 class CampaignSnapshot:
-    """Folds the bus's event stream into one thread-safe aggregate.
+    """Folds a recorder's event stream into one thread-safe aggregate.
 
-    Subscribe it to a bus (:meth:`attach`) and read it from anywhere:
+    Subscribe it to a recorder (:meth:`attach`) and read it from anywhere:
     the status-file writer, the metrics endpoint's server thread, and
     the one-line :class:`~repro.obs.progress.CampaignProgress` display
     all consume the same instance.
@@ -389,8 +274,8 @@ class CampaignSnapshot:
         self.metrics_port: int | None = None
 
     # -- folding -------------------------------------------------------
-    def attach(self, bus: TelemetryBus) -> "CampaignSnapshot":
-        bus.subscribe(self.on_event)
+    def attach(self, recorder: NullRecorder) -> "CampaignSnapshot":
+        recorder.subscribe(self.on_event)
         return self
 
     def _worker(self, wid: int) -> WorkerState:
@@ -410,15 +295,15 @@ class CampaignSnapshot:
         return state
 
     def on_event(self, event: dict) -> None:
-        kind = event.get("kind")
+        name = event.get("name")
         ts = event.get("ts", time.time())
         with self._lock:
-            if kind == "campaign.started":
+            if name == "campaign.started":
                 self.state = "running"
                 self.started_at = ts
                 self.total = int(event.get("total", 0))
                 self.shards = int(event.get("shards", 0) or 0)
-            elif kind == "campaign.finished":
+            elif name == "campaign.finished":
                 self.state = "interrupted" if event.get("interrupted") else "finished"
                 self.interrupted = event.get("interrupted")
                 if event.get("verdicts"):
@@ -432,15 +317,15 @@ class CampaignSnapshot:
                         worker.state = "done"
                         worker.cell_id = None
                         worker.cell_started_at = None
-            elif kind == "campaign.interrupted":
+            elif name == "campaign.interrupted":
                 self.interrupted = event.get("reason")
-            elif kind == "worker.spawned":
+            elif name == "worker.spawned":
                 self._worker(int(event["worker"]))
-            elif kind == "worker.ready":
+            elif name == "worker.ready":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "idle"
                 worker.pid = event.get("pid")
-            elif kind == "worker.heartbeat":
+            elif name == "worker.heartbeat":
                 worker = self._worker(int(event["worker"]))
                 worker.last_heartbeat_at = ts
                 if event.get("pid") is not None:
@@ -449,12 +334,12 @@ class CampaignSnapshot:
                 worker.cell_elapsed = float(event.get("cell_elapsed", 0.0) or 0.0)
                 if event.get("cells_completed") is not None:
                     worker.cells_completed = int(event["cells_completed"])
-            elif kind == "cell.dispatched":
+            elif name == "cell.dispatched":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "busy"
                 worker.cell_id = event.get("cell_id")
                 worker.cell_started_at = ts
-            elif kind == "cell.finished":
+            elif name == "cell.finished":
                 self.done += 1
                 cls = event.get("verdict_class")
                 if cls in self.verdicts:
@@ -468,47 +353,43 @@ class CampaignSnapshot:
                     worker.cells_completed += 1
                 elif event.get("node") is not None:
                     self._node(str(event["node"])).cells_completed += 1
-            elif kind == "cell.retried":
+            elif name == "cell.retried":
                 self.retries += 1
-            elif kind == "cell.quarantined":
+            elif name == "cell.quarantined":
                 self.quarantined += 1
-            elif kind == "worker.crash":
+            elif name == "worker.crash":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "dead"
                 worker.crashes += 1
                 worker.cell_id = None
                 worker.cell_started_at = None
-            elif kind == "worker.killed":
+            elif name == "worker.killed":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "killed"
                 worker.cell_id = None
                 worker.cell_started_at = None
-            elif kind == "worker.respawn":
+            elif name == "worker.respawn":
                 self.respawns += 1
-            elif kind == "worker.exit":
-                worker = self._worker(int(event["worker"]))
-                if worker.state not in ("dead", "killed"):
-                    worker.state = "done"
-            elif kind == "node.connected":
+            elif name == "node.connected":
                 node = self._node(str(event["node"]))
                 node.state = "connected"
                 node.connected_at = ts
                 node.pid = event.get("pid")
                 node.workers = event.get("workers")
                 node.disconnect_reason = None
-            elif kind == "node.heartbeat":
+            elif name == "node.heartbeat":
                 node = self._node(str(event["node"]))
                 node.last_heartbeat_at = ts
                 if event.get("pid") is not None:
                     node.pid = event["pid"]
                 node.rss_bytes = int(event.get("rss_bytes", node.rss_bytes) or 0)
-            elif kind == "lease.granted":
+            elif name == "lease.granted":
                 node = self._node(str(event["node"]))
                 node.state = "computing"
                 node.shard = event.get("shard")
                 node.epoch = event.get("epoch")
                 node.lease_granted_at = ts
-            elif kind == "lease.completed":
+            elif name == "lease.completed":
                 if event.get("node") is not None:
                     node = self._node(str(event["node"]))
                     if node.shard == event.get("shard"):
@@ -516,7 +397,7 @@ class CampaignSnapshot:
                         node.shard = None
                         node.epoch = None
                         node.lease_granted_at = None
-            elif kind == "lease.expired":
+            elif name == "lease.expired":
                 self.leases_expired += 1
                 if event.get("node") is not None:
                     node = self._node(str(event["node"]))
@@ -525,11 +406,11 @@ class CampaignSnapshot:
                         node.shard = None
                         node.epoch = None
                         node.lease_granted_at = None
-            elif kind == "node.fenced":
+            elif name == "node.fenced":
                 self.fenced_frames += 1
                 if event.get("node") is not None:
                     self._node(str(event["node"])).fenced += 1
-            elif kind == "node.disconnected":
+            elif name == "node.disconnected":
                 node = self._node(str(event["node"]))
                 node.state = "disconnected"
                 node.disconnect_reason = event.get("reason")
@@ -610,8 +491,8 @@ class HeartbeatReporter:
     :meth:`end_cell`); a daemon thread ships a payload — PID, RSS,
     cells completed, current cell and time-in-cell — through ``send``
     every ``interval`` seconds. Used by pool workers (``send`` writes a
-    pipe message) and by the serial driver (``send`` publishes straight
-    onto the bus). A ``stall`` fault (:mod:`repro.testing.faults`)
+    pipe message) and by the serial driver (``send`` emits a recorder
+    event). A ``stall`` fault (:mod:`repro.testing.faults`)
     suppresses the beats while the computation continues, which is
     exactly how a wedged worker looks from outside.
     """
@@ -714,11 +595,11 @@ def write_status_atomic(path: Path, payload: dict) -> None:
 
 
 class LiveStatusWriter:
-    """Bus subscriber persisting the campaign under
+    """Recorder subscriber persisting the campaign under
     ``<root>/<run-id>/``: every event appended to ``events.jsonl`` and
     the snapshot rewritten to ``status.json`` (atomic rename) at most
-    every ``status_interval`` seconds — plus a final write on close, so
-    the directory always ends on the authoritative last state."""
+    once per heartbeat interval — plus a final write on close, so the
+    directory always ends on the authoritative last state."""
 
     def __init__(
         self,
@@ -732,14 +613,12 @@ class LiveStatusWriter:
         self.status_path = self.dir / STATUS_FILE
         self.events_path = self.dir / EVENTS_FILE
         self._lock = threading.Lock()
-        self._events_sink: IO[str] | None = (
-            open(self.events_path, "a") if self.settings.write_events else None
-        )
+        self._events_sink: IO[str] | None = open(self.events_path, "a")
         self._last_status = float("-inf")
         self.write_status(force=True)
 
-    def attach(self, bus: TelemetryBus) -> "LiveStatusWriter":
-        bus.subscribe(self.on_event)
+    def attach(self, recorder: NullRecorder) -> "LiveStatusWriter":
+        recorder.subscribe(self.on_event)
         return self
 
     def on_event(self, event: dict) -> None:
@@ -752,7 +631,7 @@ class LiveStatusWriter:
     def write_status(self, force: bool = False) -> None:
         now = time.monotonic()
         with self._lock:
-            if not force and now - self._last_status < self.settings.effective_status_interval:
+            if not force and now - self._last_status < self.settings.interval:
                 return
             self._last_status = now
         try:
@@ -900,10 +779,9 @@ def verdict_bar(verdicts: dict, total: int, width: int = 40) -> str:
 
 
 def render_watch(status: dict, now: float | None = None) -> str:
-    """The terminal view of one status snapshot (``repro watch`` frames
-    and ``repro stats --live``). Ages are recomputed against ``now`` so
-    a frozen campaign visibly goes stale even though its file does not
-    change."""
+    """The terminal view of one status snapshot (a ``repro watch``
+    frame). Ages are recomputed against ``now`` so a frozen campaign
+    visibly goes stale even though its file does not change."""
     from .progress import format_eta  # local: progress imports nothing of ours
 
     now = time.time() if now is None else now
@@ -1187,9 +1065,10 @@ class MetricsServer:
     """Opt-in HTTP view of a live snapshot (stdlib only, daemon thread).
 
     Routes: ``/`` and ``/status.json`` serve the JSON snapshot;
-    ``/metrics`` serves Prometheus text format; everything else is 404.
-    Binds ``127.0.0.1`` — this is an operator tool, not a public API
-    (that is ``repro serve``'s job, which will grow from this seed).
+    ``/metrics`` serves Prometheus text format, followed by the
+    internal metrics of the recorder it is attached to; everything
+    else is 404. Binds ``127.0.0.1``: this is an operator tool, not a
+    public API.
     """
 
     def __init__(
@@ -1197,10 +1076,9 @@ class MetricsServer:
         snapshot: CampaignSnapshot,
         port: int = 0,
         host: str = "127.0.0.1",
-        recorder=None,
     ):
         self.snapshot = snapshot
-        self.recorder = recorder
+        self.recorder: NullRecorder | None = None
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -1246,6 +1124,11 @@ class MetricsServer:
         self._thread.start()
         snapshot.metrics_port = self.port
 
+    def attach(self, recorder: NullRecorder) -> "MetricsServer":
+        """Serve ``recorder``'s metrics on ``/metrics`` too."""
+        self.recorder = recorder
+        return self
+
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
@@ -1260,56 +1143,60 @@ class MetricsServer:
 # One-call assembly
 # ----------------------------------------------------------------------
 class LiveTelemetry:
-    """Bus + snapshot + status writer (+ optional metrics endpoint),
-    wired together and installed as the ambient bus for a ``with``
-    block::
+    """Snapshot + status writer (+ optional metrics endpoint), attached
+    to the ambient recorder for a ``with`` block::
 
         settings = TelemetrySettings(metrics_port=0)
         with LiveTelemetry("20260807T...-verify-ab12cd", settings) as live:
             report = verify_partition(factory, cells, runner_settings)
         # .repro/live/<run-id>/status.json now holds the final snapshot
 
-    The supervisor and runner publish onto :func:`get_bus`, so no
-    plumbing changes are needed anywhere a campaign is driven.
-    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
-    exposes the process's internal metrics on ``/metrics``.
+    Campaign code emits its events on :func:`get_recorder`, so no
+    plumbing changes are needed anywhere a campaign is driven. Entering
+    attaches to the current recorder or, when none is live, installs
+    one (heartbeating every ``settings.interval``) until exit.
     """
 
-    def __init__(
-        self,
-        run_id: str,
-        settings: TelemetrySettings | None = None,
-        recorder=None,
-    ):
+    def __init__(self, run_id: str, settings: TelemetrySettings | None = None):
         self.settings = settings or TelemetrySettings()
         self.run_id = run_id
-        prune_stale_runs(self.settings.root, prune_after=self.settings.prune_after)
-        self.bus = TelemetryBus(heartbeat_interval=self.settings.interval)
-        self.snapshot = CampaignSnapshot(run_id, self.settings).attach(self.bus)
-        self.writer = LiveStatusWriter(self.snapshot).attach(self.bus)
+        prune_stale_runs(self.settings.root)
+        self.snapshot = CampaignSnapshot(run_id, self.settings)
+        self.writer = LiveStatusWriter(self.snapshot)
         self.server: MetricsServer | None = None
         if self.settings.metrics_port is not None:
-            self.server = MetricsServer(
-                self.snapshot, port=self.settings.metrics_port, recorder=recorder
-            )
+            self.server = MetricsServer(self.snapshot, port=self.settings.metrics_port)
             self.writer.write_status(force=True)
-        self._previous_bus: NullTelemetryBus | None = None
+        self.recorder: NullRecorder | None = None
+        self._previous: NullRecorder | None = None
 
     @property
     def status_path(self) -> Path:
         return self.writer.status_path
 
     def __enter__(self) -> "LiveTelemetry":
-        self._previous_bus = set_bus(self.bus)
+        recorder = get_recorder()
+        if not recorder.enabled:
+            recorder = Recorder(heartbeat_interval=self.settings.interval)
+            self._previous = set_recorder(recorder)
+        self.recorder = recorder
+        self.snapshot.attach(recorder)
+        self.writer.attach(recorder)
+        if self.server is not None:
+            self.server.attach(recorder)
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     def close(self) -> None:
-        if self._previous_bus is not None:
-            set_bus(self._previous_bus)
-            self._previous_bus = None
+        if self.recorder is not None:
+            self.recorder.unsubscribe(self.snapshot.on_event)
+            self.recorder.unsubscribe(self.writer.on_event)
+            self.recorder = None
+        if self._previous is not None:
+            set_recorder(self._previous)
+            self._previous = None
         if self.server is not None:
             self.server.close()
             self.server = None

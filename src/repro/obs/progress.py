@@ -1,10 +1,10 @@
 """The one-line campaign progress display.
 
-A telemetry-bus subscriber: every campaign publishes one
-``cell.finished`` event per cell, a
-:class:`~repro.obs.live.CampaignSnapshot` folds those events into
-rate, ETA, verdict counts and stall state, and :class:`CampaignProgress`
-renders that snapshot as one throttled stderr line::
+A recorder subscriber: every campaign emits one ``cell.finished``
+event per cell, a :class:`~repro.obs.live.CampaignSnapshot` folds
+those events into rate, ETA, verdict counts and stall state, and
+:class:`CampaignProgress` renders that snapshot as one throttled
+stderr line::
 
     cells 120/216 (55.6%) | 3.4 cell/s | ETA 28s | proved 97 unproved 20 witnessed 3
 """
@@ -16,7 +16,8 @@ import time
 from typing import IO, TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .live import CampaignSnapshot, TelemetryBus
+    from .live import CampaignSnapshot
+    from .recorder import NullRecorder
 
 
 def format_eta(seconds: float) -> str:
@@ -37,7 +38,7 @@ def format_eta(seconds: float) -> str:
 class CampaignProgress:
     """Prints ``snapshot`` as one line on each ``cell.finished`` event.
 
-    Attach it to the bus *after* the snapshot, so the line already
+    Attach it to the recorder *after* the snapshot, so the line already
     counts the event that triggered it. ``min_interval`` throttles
     printing so huge partitions do not drown stderr; the line for the
     last cell always prints. ``stream`` defaults to the current
@@ -58,12 +59,12 @@ class CampaignProgress:
         self._clock = clock
         self._last_print = float("-inf")
 
-    def attach(self, bus: "TelemetryBus") -> "CampaignProgress":
-        bus.subscribe(self.on_event)
+    def attach(self, recorder: "NullRecorder") -> "CampaignProgress":
+        recorder.subscribe(self.on_event)
         return self
 
     def on_event(self, event: dict) -> None:
-        if event.get("kind") != "cell.finished":
+        if event.get("name") != "cell.finished":
             return
         now = self._clock()
         if (

@@ -1,4 +1,4 @@
-"""The recorder: spans + events + metrics behind one ambient handle.
+"""The recorder: spans, events and metrics behind one ambient handle.
 
 Instrumented code never imports a concrete backend; it asks for the
 *current* recorder and emits through it:
@@ -9,6 +9,7 @@ Instrumented code never imports a concrete backend; it asks for the
     with rec.span("integrate", step=j, command=u):
         ...
     rec.inc("reach.integrations", len(pipe.steps))
+    rec.event("cell.finished", cell_id=cell_id, verdict_class="proved")
 
 By default the current recorder is the :data:`NULL_RECORDER` — every
 call is a no-op costing a couple of attribute lookups, so instrumented
@@ -16,10 +17,19 @@ hot paths stay within noise of un-instrumented code. Code that would
 pay real cost just to *construct* an event (formatting, extra
 timestamps) should guard on ``rec.enabled``.
 
-A real :class:`Recorder` owns a :class:`~repro.obs.metrics.MetricsRegistry`
-and, optionally, a JSONL trace sink (one event object per line). Spans
-write both: a ``{"kind": "span", "name": ..., "dur": ...}`` trace event
-and a ``<name>.seconds`` histogram observation.
+A real :class:`Recorder` owns a :class:`~repro.obs.metrics.MetricsRegistry`,
+optionally a JSONL trace sink (one object per line), and the event
+subscribers of a live campaign (:class:`~repro.obs.live.CampaignSnapshot`,
+:class:`~repro.obs.progress.CampaignProgress`,
+:class:`~repro.obs.live.LiveStatusWriter`). A span writes a
+``{"kind": "span", "name": ..., "dur": ...}`` trace line and a
+``<name>.seconds`` histogram observation; it never reaches the
+subscribers, so a span costs the same with or without live telemetry.
+An event, ``{"ts": ..., "kind": "event", "name": ..., **fields}``, goes
+to the trace and to every subscriber. A subscriber that raises is
+dropped for the rest of the run and counted: observability must never
+take a campaign down. Heartbeat threads emit events too, so trace
+writes and the fan-out run under one lock.
 """
 
 from __future__ import annotations
@@ -28,9 +38,10 @@ import contextlib
 import json
 import logging
 import os
+import threading
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .metrics import MetricsRegistry
 
@@ -60,6 +71,9 @@ class NullRecorder:
     """
 
     enabled = False
+    #: Worker heartbeat period in seconds; ``None`` tells campaigns not
+    #: to start heartbeat threads at all.
+    heartbeat_interval: float | None = None
 
     def span(self, name: str, **fields) -> _NullSpan:
         return _NULL_SPAN
@@ -68,6 +82,12 @@ class NullRecorder:
         return None
 
     def event(self, name: str, **fields) -> None:
+        return None
+
+    def subscribe(self, fn: Callable[[dict], None]) -> None:
+        raise RuntimeError("cannot subscribe to the null recorder")
+
+    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
         return None
 
     def inc(self, name: str, value: float = 1.0) -> None:
@@ -110,7 +130,8 @@ class _Span:
 
 
 class Recorder(NullRecorder):
-    """A live recorder: metrics registry + optional JSONL trace sink."""
+    """A live recorder: metrics registry, optional JSONL trace sink and
+    event subscribers."""
 
     enabled = True
 
@@ -118,9 +139,14 @@ class Recorder(NullRecorder):
         self,
         trace_path: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
+        heartbeat_interval: float | None = None,
     ):
         self.metrics = metrics or MetricsRegistry()
+        self.heartbeat_interval = heartbeat_interval
         self.trace_path = Path(trace_path) if trace_path else None
+        self._lock = threading.RLock()
+        self._subscribers: list[Callable[[dict], None]] = []
+        self.dropped_subscribers = 0
         self._sink: IO[str] | None = None
         if self.trace_path is not None:
             self.trace_path.parent.mkdir(parents=True, exist_ok=True)
@@ -145,19 +171,44 @@ class Recorder(NullRecorder):
                 event["error"] = exc_type.__name__
             if fields:
                 event.update(fields)
-            self._write(event)
+            with self._lock:
+                self._write(event)
 
     def event(self, name: str, **fields) -> None:
-        """A point-in-time trace event (also logged at DEBUG)."""
+        """A point-in-time event: logged at DEBUG, written to the trace
+        and passed to every subscriber."""
         logger.debug("event %s %s", name, fields)
-        if self._sink is not None:
-            event = {"ts": time.time(), "kind": "event", "name": name}
-            event.update(fields)
+        if self._sink is None and not self._subscribers:
+            return
+        event = {"ts": time.time(), "kind": "event", "name": name}
+        event.update(fields)
+        with self._lock:
             self._write(event)
+            for fn in list(self._subscribers):
+                try:
+                    fn(event)
+                except Exception as exc:
+                    self.dropped_subscribers += 1
+                    self._subscribers.remove(fn)
+                    logger.warning(
+                        "event subscriber %r raised %s: %s; dropped",
+                        fn, type(exc).__name__, exc,
+                    )
 
     def _write(self, event: dict) -> None:
-        assert self._sink is not None
-        self._sink.write(json.dumps(event, default=str) + "\n")
+        # Callers hold self._lock.
+        if self._sink is not None:
+            self._sink.write(json.dumps(event, default=str) + "\n")
+
+    def subscribe(self, fn: Callable[[dict], None]) -> None:
+        """Pass every later event to ``fn`` (in subscription order)."""
+        with self._lock:
+            self._subscribers.append(fn)
+
+    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
+        with self._lock:
+            if fn in self._subscribers:
+                self._subscribers.remove(fn)
 
     # -- metrics passthrough -------------------------------------------
     def inc(self, name: str, value: float = 1.0) -> None:
@@ -171,14 +222,16 @@ class Recorder(NullRecorder):
 
     # -- lifecycle -----------------------------------------------------
     def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
 
     def close(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
-            self._sink.close()
-            self._sink = None
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
+                self._sink.close()
+                self._sink = None
 
 
 # ----------------------------------------------------------------------

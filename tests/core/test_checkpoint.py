@@ -12,7 +12,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.intervals import Box
-from repro.obs import CampaignSnapshot, Recorder, TelemetryBus, use_bus, use_recorder
+from repro.obs import CampaignSnapshot, Recorder, use_recorder
 
 from .fixtures import make_system
 
@@ -82,17 +82,17 @@ class TestCheckpointing:
         assert len(load_journal(journal)) == 5
 
     def test_progress_callback(self, tmp_path):
-        # Progress rides the telemetry bus: verified and journal-cached
-        # cells alike are published as cell.finished.
+        # Progress rides the recorder's events: verified and
+        # journal-cached cells alike are recorded as cell.finished.
         journal = tmp_path / "journal.jsonl"
         verify_partition(lambda: make_system(), cells()[:2], journal=journal)
-        bus = TelemetryBus(heartbeat_interval=None)
-        snapshot = CampaignSnapshot("resume").attach(bus)
+        rec = Recorder()
+        snapshot = CampaignSnapshot("resume").attach(rec)
         cached = []
-        bus.subscribe(
-            lambda e: e["kind"] == "cell.finished" and cached.append(e.get("cached"))
+        rec.subscribe(
+            lambda e: e["name"] == "cell.finished" and cached.append(e.get("cached"))
         )
-        with use_bus(bus):
+        with use_recorder(rec):
             verify_partition(lambda: make_system(), cells(), journal=journal)
         assert (snapshot.done, snapshot.total) == (4, 4)
         assert cached == [True, True, None, None]
@@ -117,18 +117,18 @@ class TestCheckpointing:
         journal = tmp_path / "journal.jsonl"
         single = verify_partition(lambda: make_system(), cells(), journal=journal)
         written = journal.read_bytes()
-        bus = TelemetryBus(heartbeat_interval=None)
+        rec = Recorder()
         events = []
-        bus.subscribe(events.append)
+        rec.subscribe(events.append)
         coordinator = Coordinator(cells(), journal)
         coordinator.start()
-        with use_bus(bus), use_recorder(Recorder()) as rec:
+        with use_recorder(rec):
             report = coordinator.serve()
             assert rec.metrics.counters["checkpoint.cells_skipped"] == 4
         assert journal.read_bytes() == written
         assert report.verdict_counts() == single.verdict_counts()
         assert [c.tags for c in report.cells] == [c.tags for c in single.cells]
         assert report.settings_summary["distributed"]["grants"] == 0
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert [e["cached"] for e in finished] == [True] * 4
-        assert events[-1]["kind"] == "campaign.finished"
+        assert events[-1]["name"] == "campaign.finished"

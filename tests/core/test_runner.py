@@ -12,7 +12,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.intervals import Box
-from repro.obs import CampaignSnapshot, TelemetryBus, use_bus
+from repro.obs import CampaignSnapshot, Recorder, use_recorder
 
 from .fixtures import make_system
 
@@ -87,16 +87,16 @@ class TestVerifyPartition:
     def test_progress_callback(self):
         system_factory = lambda: make_system()
         boxes = grid_partition(Box([1.6], [2.4]), [3])
-        # Progress rides the telemetry bus: a snapshot subscribed ahead
-        # of the observer has already counted each finished cell.
-        bus = TelemetryBus(heartbeat_interval=None)
-        snapshot = CampaignSnapshot("progress").attach(bus)
+        # Progress rides the recorder's events: a snapshot subscribed
+        # ahead of the observer has already counted each finished cell.
+        rec = Recorder()
+        snapshot = CampaignSnapshot("progress").attach(rec)
         seen = []
-        bus.subscribe(
-            lambda e: e["kind"] == "cell.finished"
+        rec.subscribe(
+            lambda e: e["name"] == "cell.finished"
             and seen.append((snapshot.done, snapshot.total))
         )
-        with use_bus(bus):
+        with use_recorder(rec):
             verify_partition(system_factory, cells_for(boxes))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.checkpoint import _normalize_result_dict
 from repro.core.supervisor import chunk_size
 from repro.intervals import Box
-from repro.obs import Recorder, TelemetryBus, use_bus, use_recorder
+from repro.obs import Recorder, use_recorder
 from repro.testing import injected_faults
 from repro.testing.faults import CRASH_EXIT_CODE
 
@@ -129,20 +129,20 @@ class TestSerialFaultTolerance:
         assert report.settings_summary["interrupted"] == "deadline"
 
     def test_progress_exception_does_not_abort_campaign(self):
-        # Progress is a bus subscriber; one that raises is dropped from
-        # the fan-out and the campaign carries on.
+        # Progress is a recorder subscriber; one that raises is dropped
+        # from the fan-out and counted, and the campaign carries on.
         seen = []
 
         def exploding_progress(event):
-            seen.append(event["kind"])
+            seen.append(event["name"])
             raise ValueError("broken progress bar")
 
-        bus = TelemetryBus(heartbeat_interval=None)
-        bus.subscribe(exploding_progress)
-        with use_bus(bus):
+        rec = Recorder()
+        rec.subscribe(exploding_progress)
+        with use_recorder(rec):
             report = verify_partition(make_system, four_cells())
         assert seen == ["campaign.started"]
-        assert bus.dropped_subscribers == 1
+        assert rec.dropped_subscribers == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
 
@@ -248,22 +248,20 @@ class TestSupervisedPool:
 
 
 class TestPoolTelemetry:
-    """Bus plumbing through the supervised pool: worker heartbeats
-    travel the result pipe, and the supervisor republishes lifecycle
-    events onto the ambient bus."""
+    """Event plumbing through the supervised pool: worker heartbeats
+    travel the result pipe, and the supervisor records lifecycle
+    events on the ambient recorder."""
 
     def collect(self, faults=None, **settings_kwargs):
-        from repro.obs import TelemetryBus, use_bus
-
-        bus = TelemetryBus(heartbeat_interval=0.05)
+        rec = self.rec = Recorder(heartbeat_interval=0.05)
         events = []
-        bus.subscribe(events.append)
+        rec.subscribe(events.append)
         settings = RunnerSettings(workers=2, **settings_kwargs)
         tasks = [
             (f"cell-{i}", box, 1, {})
             for i, box in enumerate(grid_partition(Box([1.6], [2.4]), [4]))
         ]
-        with use_bus(bus):
+        with use_recorder(rec):
             if faults:
                 with injected_faults(faults):
                     outcome = run_supervised(make_system, tasks, settings)
@@ -275,18 +273,18 @@ class TestPoolTelemetry:
         import os
 
         outcome, events = self.collect(faults="slow:cell-0:0.2")
-        kinds = [e["kind"] for e in events]
-        assert kinds.count("worker.spawned") == 2
-        assert kinds.count("worker.ready") == 2
-        assert kinds.count("cell.dispatched") == 4
-        assert kinds.count("cell.finished") == 4
-        beats = [e for e in events if e["kind"] == "worker.heartbeat"]
+        names = [e["name"] for e in events]
+        assert names.count("worker.spawned") == 2
+        assert names.count("worker.ready") == 2
+        assert names.count("cell.dispatched") == 4
+        assert names.count("cell.finished") == 4
+        beats = [e for e in events if e["name"] == "worker.heartbeat"]
         assert beats, "no heartbeats crossed the worker pipe"
         beat = beats[0]
         # Worker-originated: the PID is a child's, not the parent's.
         assert beat["pid"] != os.getpid() and beat["pid"] > 0
         assert {"rss_bytes", "cells_completed", "cell_elapsed"} <= set(beat)
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert all(e["verdict_class"] == "proved" for e in finished)
         assert len(outcome.results) == 4
 
@@ -294,18 +292,21 @@ class TestPoolTelemetry:
         outcome, events = self.collect(
             faults="crash:cell-1:*", max_retries=1, retry_backoff=0.01
         )
-        kinds = [e["kind"] for e in events]
-        assert "worker.crash" in kinds
-        assert "worker.respawn" in kinds
-        assert "cell.retried" in kinds
-        quarantined = [e for e in events if e["kind"] == "cell.quarantined"]
+        names = [e["name"] for e in events]
+        # Each crash and respawn is recorded once.
+        counters = self.rec.metrics.counters
+        assert names.count("worker.crash") == counters["runner.worker_crashes"] > 0
+        assert names.count("worker.respawn") == counters["runner.worker_respawns"] > 0
+        assert "cell.retried" in names
+        quarantined = [e for e in events if e["name"] == "cell.quarantined"]
         assert len(quarantined) == 1
         assert quarantined[0]["cell_id"] == "cell-1"
         assert quarantined[0]["reason"] == "crash"
 
     def test_no_bus_no_heartbeat_threads(self):
-        """Without an enabled bus the pool passes heartbeat=None to the
-        workers — telemetry must cost nothing when off."""
+        """Without a recorder heartbeat interval the pool passes
+        heartbeat=None to the workers — telemetry must cost nothing
+        when off."""
         tasks = [("cell-0", Box([2.0], [2.2]), 1, {})]
         outcome = run_supervised(make_system, tasks, RunnerSettings(workers=2))
         assert outcome.results[0].proved

@@ -61,13 +61,13 @@ class TestInstrumentedRunner:
     def test_progress_receives_results(self):
         import io
 
-        from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, use_bus
+        from repro.obs import CampaignProgress, CampaignSnapshot
 
-        bus = TelemetryBus(heartbeat_interval=None)
-        snapshot = CampaignSnapshot("progress").attach(bus)
+        rec = Recorder()
+        snapshot = CampaignSnapshot("progress").attach(rec)
         stream = io.StringIO()
-        CampaignProgress(snapshot, stream=stream).attach(bus)
-        with use_bus(bus):
+        CampaignProgress(snapshot, stream=stream).attach(rec)
+        with use_recorder(rec):
             verify_partition(lambda: make_system(), cells())
         assert snapshot.done == snapshot.total == 4
         verdicts = snapshot.verdicts

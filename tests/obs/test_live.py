@@ -1,8 +1,9 @@
-"""Live campaign telemetry: the bus, the snapshot fold, atomic status
-files, pruning, stall detection, the watch/Prometheus renderers, and
-the opt-in metrics endpoint — including the acceptance scenarios (no
-torn reads ever; final snapshot equals the ledger's verdict counts;
-a stalled worker is flagged within two heartbeat intervals)."""
+"""Live campaign telemetry: the snapshot fold of recorder events,
+atomic status files, pruning, stall detection, the watch/Prometheus
+renderers, and the opt-in metrics endpoint — including the acceptance
+scenarios (no torn reads ever; final snapshot equals the ledger's
+verdict counts; a stalled worker is flagged within two heartbeat
+intervals of its first missed beat)."""
 
 import json
 import threading
@@ -14,24 +15,26 @@ import pytest
 from repro.core import RunnerSettings, grid_partition, verify_partition
 from repro.intervals import Box
 from repro.obs import (
-    NULL_BUS,
+    NULL_RECORDER,
     CampaignSnapshot,
     HeartbeatReporter,
     LiveTelemetry,
     MetricsServer,
-    TelemetryBus,
+    Recorder,
     TelemetrySettings,
-    get_bus,
+    get_recorder,
     list_live_runs,
     prune_stale_runs,
     read_status,
+    read_trace,
     record_from_report,
     render_prometheus,
     render_watch,
-    use_bus,
+    summarize_trace_file,
+    use_recorder,
     write_status_atomic,
 )
-from repro.obs.live import WorkerState, stalled, verdict_bar
+from repro.obs.live import STALL_FACTOR, WorkerState, stalled, verdict_bar
 from repro.testing import injected_faults
 
 from ..core.fixtures import make_system
@@ -45,65 +48,41 @@ def cells(n=4):
 
 
 # ----------------------------------------------------------------------
-# The bus
+# The bus: live events ride the ambient recorder
 # ----------------------------------------------------------------------
 class TestTelemetryBus:
-    def test_publish_stamps_ts_and_kind(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish("cell.finished", worker=1, verdict_class="proved")
-        assert len(seen) == 1
-        event = seen[0]
-        assert event["kind"] == "cell.finished"
-        assert event["worker"] == 1
-        assert event["ts"] == pytest.approx(time.time(), abs=5.0)
-
-    def test_raising_subscriber_dropped_not_propagated(self):
-        bus = TelemetryBus()
-        seen = []
-
-        def bad(event):
-            raise RuntimeError("boom")
-
-        bus.subscribe(bad)
-        bus.subscribe(seen.append)
-        bus.publish("a")
-        bus.publish("b")
-        assert [e["kind"] for e in seen] == ["a", "b"]
-        assert bus.dropped_subscribers == 1
-
-    def test_unsubscribe(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.unsubscribe(seen.append)
-        bus.publish("a")
-        assert seen == []
-
     def test_null_bus_is_inert_and_ambient_by_default(self):
-        assert get_bus() is NULL_BUS
-        assert not NULL_BUS.enabled
-        assert NULL_BUS.heartbeat_interval is None
-        NULL_BUS.publish("anything", x=1)  # no-op, no error
+        assert get_recorder() is NULL_RECORDER
+        assert not NULL_RECORDER.enabled
+        assert NULL_RECORDER.heartbeat_interval is None
+        NULL_RECORDER.event("anything", x=1)  # no-op, no error
+        NULL_RECORDER.unsubscribe(print)  # no-op, no error
+        with pytest.raises(RuntimeError):
+            NULL_RECORDER.subscribe(print)
 
     def test_use_bus_scopes_and_restores(self):
-        bus = TelemetryBus()
-        with use_bus(bus):
-            assert get_bus() is bus
-        assert get_bus() is NULL_BUS
+        rec = Recorder(heartbeat_interval=0.5)
+        seen = []
+        rec.subscribe(seen.append)
+        with use_recorder(rec):
+            assert get_recorder() is rec
+            assert get_recorder().heartbeat_interval == 0.5
+            get_recorder().event("cell.started", worker=0)
+        assert get_recorder() is NULL_RECORDER
+        get_recorder().event("cell.finished", worker=0)
+        assert [e["name"] for e in seen] == ["cell.started"]
 
 
+# ----------------------------------------------------------------------
+# Settings
+# ----------------------------------------------------------------------
 class TestTelemetrySettings:
     def test_defaults(self):
         s = TelemetrySettings()
-        assert s.effective_status_interval == s.interval
-        assert s.stall_after == pytest.approx(3.0 * s.interval)
+        assert s.interval == 1.0 and s.root is None and s.metrics_port is None
+        assert s.stall_after == pytest.approx(STALL_FACTOR * s.interval)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"interval": 0.0}, {"status_interval": -1.0}, {"stall_factor": 0.0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"interval": 0.0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TelemetrySettings(**kwargs)
@@ -112,10 +91,15 @@ class TestTelemetrySettings:
 # ----------------------------------------------------------------------
 # Snapshot folding
 # ----------------------------------------------------------------------
+def event(name, ts=None, **fields):
+    """A recorder event as subscribers receive it."""
+    return {"ts": time.time() if ts is None else ts, "kind": "event", "name": name, **fields}
+
+
 class TestCampaignSnapshot:
     def fold(self, snapshot, *events):
-        for kind, fields in events:
-            snapshot.on_event({"ts": time.time(), "kind": kind, **fields})
+        for name, fields in events:
+            snapshot.on_event(event(name, **fields))
 
     def test_worker_lifecycle_and_counters(self):
         snap = CampaignSnapshot("run-1")
@@ -205,27 +189,24 @@ class TestStallDetection:
         assert stalled(worker, now, stall_after=3.0)
 
     def test_flagged_within_two_heartbeat_intervals(self):
-        """Acceptance criterion: with the default stall factor a worker
-        that goes silent is flagged strictly before two further
-        heartbeat intervals elapse... for any factor <= 2 — and the
-        snapshot counts it."""
+        """Acceptance criterion: a worker that goes silent is flagged
+        within two heartbeat intervals of its first missed beat (the
+        stall factor is 3) — and the snapshot counts it."""
         interval = 0.1
-        settings = TelemetrySettings(interval=interval, stall_factor=2.0)
-        snap = CampaignSnapshot("run-1", settings)
+        snap = CampaignSnapshot("run-1", TelemetrySettings(interval=interval))
         beat = time.time()
-        snap.on_event({"ts": beat, "kind": "cell.dispatched",
-                       "worker": 0, "cell_id": "cell-0", "seq": 0})
-        snap.on_event({"ts": beat, "kind": "worker.heartbeat", "worker": 0})
-        assert snap.stalled_count(now=beat + interval) == 0
-        assert snap.stalled_count(now=beat + 2 * interval + 0.01) == 1
+        snap.on_event(event("cell.dispatched", ts=beat, worker=0,
+                            cell_id="cell-0", seq=0))
+        snap.on_event(event("worker.heartbeat", ts=beat, worker=0))
+        missed = beat + interval
+        assert snap.stalled_count(now=missed + interval) == 0
+        assert snap.stalled_count(now=missed + 2 * interval + 0.01) == 1
 
     def test_stall_fault_flags_live_campaign(self, tmp_path):
         """End-to-end: a `stall` fault silences the heartbeat thread
         while the cell computes; the snapshot flags the worker."""
         interval = 0.05
-        settings = TelemetrySettings(
-            interval=interval, stall_factor=2.0, root=tmp_path
-        )
+        settings = TelemetrySettings(interval=interval, root=tmp_path)
         live = LiveTelemetry("stall-run", settings)
         observed = []
         stop = threading.Event()
@@ -395,6 +376,8 @@ class TestHeartbeatReporter:
 
     @pytest.mark.parametrize("interval", [None, 0.02])
     def test_serial_campaign_follows_bus_interval(self, interval, monkeypatch):
+        """The serial driver heartbeats exactly when the recorder's
+        ``heartbeat_interval`` is set."""
         started = []
         thread_start = threading.Thread.start
 
@@ -403,14 +386,14 @@ class TestHeartbeatReporter:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        bus = TelemetryBus(heartbeat_interval=interval)
-        kinds = []
-        bus.subscribe(lambda e: kinds.append(e["kind"]))
-        with injected_faults("slow:cell-0:0.2"), use_bus(bus):
+        rec = Recorder(heartbeat_interval=interval)
+        names = []
+        rec.subscribe(lambda e: names.append(e["name"]))
+        with injected_faults("slow:cell-0:0.2"), use_recorder(rec):
             report = verify_partition(make_system, cells(2), RunnerSettings(workers=1))
         assert report.total_cells == 2
         beating = interval is not None
-        assert ("worker.heartbeat" in kinds) is beating
+        assert ("worker.heartbeat" in names) is beating
         assert ("repro-heartbeat" in started) is beating
 
 
@@ -498,7 +481,7 @@ class TestMetricsServer:
     def test_endpoint_live_during_multiworker_campaign(self, tmp_path):
         """The CI acceptance scenario, in-process: scrape both formats
         *while* the supervised pool is mid-campaign (triggered from a
-        bus subscriber, so the campaign is provably still running)."""
+        recorder subscriber, so the campaign is provably still running)."""
         settings = TelemetrySettings(
             interval=0.1, root=tmp_path, metrics_port=0
         )
@@ -506,7 +489,7 @@ class TestMetricsServer:
         scraped = {}
 
         def scrape_once(event):
-            if event["kind"] != "cell.finished" or scraped:
+            if event["name"] != "cell.finished" or scraped:
                 return
             url = f"http://127.0.0.1:{live.server.port}"
             _, _, body = self.get(url + "/status.json")
@@ -514,8 +497,8 @@ class TestMetricsServer:
             _, _, prom = self.get(url + "/metrics")
             scraped["prom"] = prom
 
-        live.bus.subscribe(scrape_once)
         with live:
+            live.recorder.subscribe(scrape_once)
             report = verify_partition(
                 make_system, cells(4), RunnerSettings(workers=2)
             )
@@ -572,13 +555,22 @@ class TestLiveTelemetryEndToEnd:
         live, report = self.run_campaign(tmp_path, workers=1)
         lines = live.writer.events_path.read_text().splitlines()
         events = [json.loads(line) for line in lines]
-        kinds = [e["kind"] for e in events]
-        assert kinds[0] == "campaign.started"
-        assert kinds[-1] == "campaign.finished"
-        assert kinds.count("cell.finished") == 4
+        assert all(e["kind"] == "event" for e in events)  # no spans
+        names = [e["name"] for e in events]
+        assert names[0] == "campaign.started"
+        assert names[-1] == "campaign.finished"
+        assert names.count("cell.finished") == 4
         assert all(a["ts"] <= b["ts"] for a, b in zip(events, events[1:]))
 
-    def test_cli_watch_once_and_stats_live(self, tmp_path, capsys):
+    def test_events_jsonl_is_a_trace(self, tmp_path):
+        """`repro stats` reads a live run's events.jsonl like any trace."""
+        live, report = self.run_campaign(tmp_path, workers=2)
+        summary = summarize_trace_file(live.writer.events_path)
+        assert summary.malformed_lines == 0
+        assert summary.event_counts["cell.finished"] == report.total_cells == 4
+        assert summary.spans == {}
+
+    def test_cli_watch_once(self, tmp_path, capsys):
         from repro.cli import main
 
         live, report = self.run_campaign(tmp_path, workers=1)
@@ -586,9 +578,9 @@ class TestLiveTelemetryEndToEnd:
                      "--once"]) == 0
         frame = capsys.readouterr().out
         assert "run e2e-run" in frame and "cells 4/4" in frame
-        assert main(["stats", "--live", "e2e-run",
-                     "--live-dir", str(tmp_path)]) == 0
-        assert "cells 4/4" in capsys.readouterr().out
+        # A status.json path works as well as a run id.
+        assert main(["watch", "--once", str(live.status_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == frame.splitlines()[:3]
         # `watch` with no run id picks the newest run under the root.
         assert main(["watch", "--live-dir", str(tmp_path), "--once"]) == 0
         assert "run e2e-run" in capsys.readouterr().out
@@ -599,23 +591,60 @@ class TestLiveTelemetryEndToEnd:
         assert main(["watch", "--live-dir", str(tmp_path / "empty"),
                      "--once"]) == 1
         assert "no live runs" in capsys.readouterr().err
-        assert main(["stats", "--live", "nope",
-                     "--live-dir", str(tmp_path / "empty")]) == 1
-        assert main(["stats"]) == 1
-        assert "--live" in capsys.readouterr().err
+        assert main(["watch", "nope", "--live-dir", str(tmp_path / "empty"),
+                     "--once"]) == 1
+        assert "no live status" in capsys.readouterr().err
+        # `stats` needs a trace file; the live snapshot is `watch --once`.
+        with pytest.raises(SystemExit):
+            main(["stats"])
+        with pytest.raises(SystemExit):
+            main(["stats", "--live", "nope"])
 
     def test_worker_bus_not_inherited(self, tmp_path):
-        """Fork workers drop the parent's live bus: only the parent
-        writes events.jsonl, so event counts stay exact (one
-        cell.finished per cell, not one per process)."""
+        """Fork workers drop the parent's recorder and its subscribers:
+        only the parent writes events.jsonl, so event counts stay exact
+        (one cell.finished per cell, not one per process)."""
         live, report = self.run_campaign(tmp_path, workers=2)
         events = [
             json.loads(line)
             for line in live.writer.events_path.read_text().splitlines()
         ]
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert len(finished) == 4
-        assert len([e for e in events if e["kind"] == "campaign.started"]) == 1
+        assert len([e for e in events if e["name"] == "campaign.started"]) == 1
+
+    def test_attaches_to_the_ambient_recorder(self, tmp_path):
+        """Under a live recorder, LiveTelemetry subscribes to it (and
+        unsubscribes on exit); with none, it installs its own for the
+        block."""
+        rec = Recorder()
+        with use_recorder(rec), LiveTelemetry("ambient", TelemetrySettings(root=tmp_path)) as live:
+            assert live.recorder is rec
+            rec.event("campaign.started", total=2)
+            assert live.snapshot.total == 2
+        rec.event("campaign.started", total=5)
+        assert live.snapshot.total == 2
+        with LiveTelemetry("own", TelemetrySettings(interval=0.5, root=tmp_path)) as live:
+            assert get_recorder() is live.recorder
+            assert live.recorder.heartbeat_interval == 0.5
+        assert not get_recorder().enabled
+
+
+class TestOneEventStream:
+    def test_pool_trace_carries_every_lifecycle_event_once(self, tmp_path):
+        """A pooled campaign under a tracing recorder leaves one
+        `cell.finished` per cell and worker heartbeats in the trace."""
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace, heartbeat_interval=0.05)
+        with injected_faults("slow:cell-0:0.3"), use_recorder(rec):
+            report = verify_partition(make_system, cells(4), RunnerSettings(workers=2))
+        rec.close()
+        events = [e for e in read_trace(trace) if e["kind"] == "event"]
+        finished = [e["cell_id"] for e in events if e["name"] == "cell.finished"]
+        assert sorted(finished) == sorted(c.cell_id for c in report.cells)
+        assert len(finished) == report.total_cells == 4
+        assert any(e["name"] == "worker.heartbeat" for e in events)
+        assert [e["name"] for e in events].count("campaign.finished") == 1
 
 
 # ----------------------------------------------------------------------
@@ -624,8 +653,8 @@ class TestLiveTelemetryEndToEnd:
 class TestNodeTelemetry:
     def fold(self, snapshot, *events):
         now = time.time()
-        for kind, fields in events:
-            snapshot.on_event({"ts": now, "kind": kind, **fields})
+        for name, fields in events:
+            snapshot.on_event(event(name, ts=now, **fields))
 
     def node_events(self):
         return [

@@ -1,5 +1,5 @@
 """CampaignProgress: the one-line display rendered from a
-CampaignSnapshot as a telemetry-bus subscriber."""
+CampaignSnapshot as a recorder subscriber."""
 
 import io
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import CellResult, Verdict
 from repro.intervals import Box
-from repro.obs import CampaignProgress, CampaignSnapshot, TelemetryBus, format_eta
+from repro.obs import CampaignProgress, CampaignSnapshot, Recorder, format_eta
 
 
 class FakeClock:
@@ -22,24 +22,24 @@ class FakeClock:
 
 
 class Campaign:
-    """A bus with a snapshot and a progress display, fed hand-made
+    """A recorder with a snapshot and a progress display, fed hand-made
     events stamped by a fake wall clock."""
 
     def __init__(self, total, stream=None, min_interval=1.0, start=0.0):
         self.clock = FakeClock(start)
-        self.bus = TelemetryBus(heartbeat_interval=None)
-        self.snapshot = CampaignSnapshot("progress").attach(self.bus)
+        self.recorder = Recorder()
+        self.snapshot = CampaignSnapshot("progress").attach(self.recorder)
         self.stream = stream or io.StringIO()
         self.progress = CampaignProgress(
             self.snapshot, stream=self.stream, min_interval=min_interval,
             clock=self.clock,
-        ).attach(self.bus)
+        ).attach(self.recorder)
         self.emit("campaign.started", total=total)
 
-    def emit(self, kind, **fields):
-        # Bypass publish()'s wall-clock stamp: feed the subscribers
+    def emit(self, name, **fields):
+        # Bypass event()'s wall-clock stamp: feed the subscribers
         # directly, in subscription order, with the fake clock's time.
-        event = {"ts": self.clock(), "kind": kind, **fields}
+        event = {"ts": self.clock(), "kind": "event", "name": name, **fields}
         self.snapshot.on_event(event)
         self.progress.on_event(event)
 
@@ -186,17 +186,17 @@ class TestStalledMarker:
         assert "stalled" not in Campaign(total=10).line()
 
     def test_raising_provider_is_swallowed(self):
-        # A display whose stream breaks is dropped by the bus; the
+        # A display whose stream breaks is dropped by the recorder; the
         # snapshot keeps folding events.
         class BrokenStream:
             def write(self, text):
                 raise OSError("stderr gone")
 
-        bus = TelemetryBus(heartbeat_interval=None)
-        snapshot = CampaignSnapshot("progress").attach(bus)
-        CampaignProgress(snapshot, stream=BrokenStream()).attach(bus)
-        bus.publish("campaign.started", total=2)
-        bus.publish("cell.finished", worker=None, verdict_class="proved")
-        bus.publish("cell.finished", worker=None, verdict_class="proved")
-        assert bus.dropped_subscribers == 1
+        rec = Recorder()
+        snapshot = CampaignSnapshot("progress").attach(rec)
+        CampaignProgress(snapshot, stream=BrokenStream()).attach(rec)
+        rec.event("campaign.started", total=2)
+        rec.event("cell.finished", worker=None, verdict_class="proved")
+        rec.event("cell.finished", worker=None, verdict_class="proved")
+        assert rec.dropped_subscribers == 1
         assert snapshot.done == 2

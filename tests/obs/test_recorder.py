@@ -1,6 +1,10 @@
-"""Recorder semantics: no-op default, spans, JSONL traces, merging."""
+"""Recorder semantics: no-op default, spans, events and their
+subscribers, JSONL traces, merging."""
 
 import json
+import time
+
+import pytest
 
 from repro.obs import (
     NULL_RECORDER,
@@ -31,6 +35,7 @@ class TestNullRecorder:
         rec.inc("c")
         rec.observe("h", 1.0)
         rec.set_gauge("g", 2.0)
+        rec.unsubscribe(print)
         rec.flush()
         # No state anywhere: the null recorder has no metrics registry.
         assert not hasattr(rec, "metrics")
@@ -81,6 +86,51 @@ class TestRecorder:
         finally:
             set_recorder(None)
         assert get_recorder() is NULL_RECORDER
+
+
+class TestRecorderEvents:
+    """Events go to the trace and to every subscriber, in one shape;
+    spans go to the trace only."""
+
+    def test_event_stamps_ts_kind_and_name(self, tmp_path):
+        rec = Recorder(trace_path=tmp_path / "trace.jsonl")
+        seen = []
+        rec.subscribe(seen.append)
+        rec.event("cell.finished", worker=1, verdict_class="proved")
+        with rec.span("integrate"):
+            pass
+        rec.close()
+        assert len(seen) == 1
+        event = seen[0]
+        assert event["kind"] == "event" and event["name"] == "cell.finished"
+        assert event["worker"] == 1
+        assert event["ts"] == pytest.approx(time.time(), abs=5.0)
+        # The subscriber saw the trace's event line, and no span.
+        traced = list(read_trace(tmp_path / "trace.jsonl"))
+        assert [e["kind"] for e in traced] == ["event", "span"]
+        assert traced[0] == event
+
+    def test_raising_subscriber_dropped_not_propagated(self):
+        rec = Recorder()
+        seen = []
+
+        def bad(event):
+            raise RuntimeError("boom")
+
+        rec.subscribe(bad)
+        rec.subscribe(seen.append)
+        rec.event("a")
+        rec.event("b")
+        assert [e["name"] for e in seen] == ["a", "b"]
+        assert rec.dropped_subscribers == 1
+
+    def test_unsubscribe(self):
+        rec = Recorder()
+        seen = []
+        rec.subscribe(seen.append)
+        rec.unsubscribe(seen.append)
+        rec.event("a")
+        assert seen == []
 
 
 class TestTraceRoundtripAndMerge:
@@ -156,14 +206,14 @@ class TestCampaignProgress:
 
         snapshot = CampaignSnapshot("progress")
         progress = CampaignProgress(snapshot, clock=lambda: 10.0)
-        snapshot.on_event({"ts": 0.0, "kind": "campaign.started", "total": 4})
+        snapshot.on_event({"ts": 0.0, "kind": "event", "name": "campaign.started", "total": 4})
         for result in (
             cell(Verdict.PROVED_SAFE),
             cell(Verdict.POSSIBLY_UNSAFE),
             cell(Verdict.POSSIBLY_UNSAFE, tags={"witness": [0.5]}),
         ):
             snapshot.on_event({
-                "ts": 10.0, "kind": "cell.finished",
+                "ts": 10.0, "kind": "event", "name": "cell.finished",
                 "verdict_class": result.verdict_class(),
             })
         assert snapshot.verdicts["proved"] == 1

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``train``      — build (or load) the synthetic tables and network bank;
 * ``verify``     — run a partition verification experiment (Fig. 9 data);
-* ``coordinate`` — host a distributed campaign: shard, lease, merge;
+  ``--distributed N`` runs it over N forked node agents, and with
+  ``--listen HOST:PORT`` over N remote ``repro node`` agents instead;
 * ``node``       — join a distributed campaign as one node agent;
 * ``show``       — render a saved report as the paper's figures;
 * ``falsify``    — hunt for concrete counterexamples in unproved cells;
@@ -111,9 +112,9 @@ def _teardown_observability(args: argparse.Namespace, recorder) -> None:
 
 
 @contextlib.contextmanager
-def _campaign_telemetry(args: argparse.Namespace, kind: str):
-    """Observability for one campaign command (``verify``,
-    ``coordinate``); yields ``(run_id, recorder, live)``.
+def _campaign_telemetry(args: argparse.Namespace):
+    """Observability for one campaign (``verify`` in every mode);
+    yields ``(run_id, recorder, live)``.
 
     A live :class:`repro.obs.Recorder` is always installed: the
     end-of-run summary (p95 cell time) is sourced from its metrics,
@@ -133,7 +134,7 @@ def _campaign_telemetry(args: argparse.Namespace, kind: str):
     recorder = _setup_observability(args, heartbeat_interval=args.live_interval)
     # Mint the run id before the campaign so the live-status directory
     # (.repro/live/<run-id>/) and the ledger record share one name.
-    run_id = new_run_id(kind)
+    run_id = new_run_id("verify")
     settings = TelemetrySettings(
         interval=args.live_interval, root=args.live_dir, metrics_port=args.metrics_port
     )
@@ -221,6 +222,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .experiments import ExperimentConfig, render_report, run_experiment
     from .obs import record_from_report
 
+    if args.listen is not None and args.distributed in (None, "auto"):
+        print("error: --listen needs --distributed N: the number of node "
+              "agents to wait for", file=sys.stderr)
+        return 2
+    try:
+        nodes = (
+            None if args.distributed is None
+            else _resolve_node_count(args.distributed, args.workers)
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     # Settings validation lives in RunnerSettings.__post_init__ — one
     # authority for the CLI and programmatic callers alike. The CLI's
     # job is only to translate the failure into flag language.
@@ -249,10 +262,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         runner=runner,
     )
 
-    with _campaign_telemetry(args, "verify") as (run_id, recorder, live):
+    with _campaign_telemetry(args) as (run_id, recorder, live):
         started = time.perf_counter()
-        if args.distributed is not None:
-            report = _run_distributed_experiment(config, args, run_id)
+        if nodes is not None:
+            report = _run_distributed_experiment(config, args, run_id, nodes)
         else:
             report = run_experiment(config, journal=args.journal)
         wall = time.perf_counter() - started
@@ -279,6 +292,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             pool = f"{args.workers} workers"
         print(f"  wall time: {wall:.2f}s ({pool})")
+        if dist:
+            print(f"  nodes: {', '.join(dist['nodes_seen']) or 'none'}; "
+                  f"grants {dist['grants']}, expired leases "
+                  f"{dist['expired_leases']}, stolen cells {dist['stolen_cells']}, "
+                  f"fenced frames {dist['fenced_frames']}")
         if cell_hist is not None and cell_hist.count:
             print(
                 f"  cell time: p50 {cell_hist.p50:.3f}s, p95 {cell_hist.p95:.3f}s, "
@@ -326,41 +344,43 @@ def _resolve_node_count(spec: str, workers_per_node: int) -> int:
     """``--distributed auto`` → enough nodes to use the machine without
     oversubscribing: one coordinator plus nodes of `workers_per_node`."""
     if spec != "auto":
-        count = int(spec)
+        count = int(spec) if spec.isdigit() else 0
         if count < 1:
-            raise ValueError("--distributed needs at least one node")
+            raise ValueError("--distributed needs a node count of at least 1")
         return count
     cores = os.cpu_count() or 2
     return max(2, min(8, (cores - 1) // max(1, workers_per_node)))
 
 
-def _distributed_journal(args: argparse.Namespace, run_id: str) -> str:
-    if getattr(args, "journal", None):
-        return args.journal
-    return os.path.join(".repro", "distributed", f"{run_id}.jsonl")
-
-
-def _run_distributed_experiment(config, args, run_id: str):
+def _run_distributed_experiment(config, args, run_id: str, nodes: int):
     """The `verify --distributed` body: same partition, same report
-    decoration as :func:`repro.experiments.run_experiment`, but run by
-    a loopback coordinator with forked node agents."""
+    decoration as :func:`repro.experiments.run_experiment`, but run by a
+    coordinator over ``nodes`` node agents, forked on this machine or,
+    with ``--listen``, dialing in from anywhere."""
     from .acasxu import build_system, initial_cells
     from .core import DistributedSettings, run_distributed
 
-    nodes = _resolve_node_count(args.distributed, args.workers)
-    cells = initial_cells(config.num_arcs, config.num_headings)
+    def announce(host: str, port: int) -> None:
+        print(f"coordinator listening on {host}:{port} "
+              f"(connect node agents with `repro node --connect {host}:{port}`)",
+              file=sys.stderr, flush=True)
+
     scenario = config.scenario
+    remote = args.listen is not None
     report = run_distributed(
         lambda: build_system(scenario),
-        cells,
-        _distributed_journal(args, run_id),
+        initial_cells(config.num_arcs, config.num_headings),
+        args.journal or os.path.join(".repro", "distributed", f"{run_id}.jsonl"),
         settings=config.runner,
         dist=DistributedSettings(
             num_shards=args.num_shards,
             lease_timeout=args.lease_timeout,
+            **({"listen": args.listen} if remote else {}),
         ),
         nodes=nodes,
         workers_per_node=args.workers,
+        remote=remote,
+        on_listen=announce if remote else None,
     )
     report.system_name = f"acasxu/{config.name}"
     report.settings_summary["num_arcs"] = config.num_arcs
@@ -368,100 +388,18 @@ def _run_distributed_experiment(config, args, run_id: str):
     return report
 
 
-def cmd_coordinate(args: argparse.Namespace) -> int:
-    """Listen for node agents and drive one distributed campaign."""
-    import time
-
-    from .acasxu import initial_cells
-    from .core import (
-        Coordinator,
-        DistributedSettings,
-        ReachSettings,
-        RefinementPolicy,
-        RunnerSettings,
-    )
-    from .experiments import render_report
-    from .obs import record_from_report
-
-    try:
-        runner = RunnerSettings(
-            reach=ReachSettings(
-                substeps=args.substeps, max_symbolic_states=args.gamma
-            ),
-            refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=args.depth),
-            cell_timeout=args.cell_timeout,
-            deadline=args.deadline,
-            max_retries=args.max_retries,
-        )
-    except ValueError as error:
-        print(
-            f"error: {error} (check --cell-timeout, --deadline, --max-retries)",
-            file=sys.stderr,
-        )
-        return 2
-
-    with _campaign_telemetry(args, "coordinate") as (run_id, _recorder, _live):
-        coordinator = Coordinator(
-            initial_cells(args.arcs, args.headings),
-            _distributed_journal(args, run_id),
-            settings=runner,
-            dist=DistributedSettings(
-                listen=args.listen,
-                num_shards=args.num_shards,
-                expected_nodes=args.nodes,
-                lease_timeout=args.lease_timeout,
-            ),
-        )
-        host, port = coordinator.start()
-        print(f"coordinator listening on {host}:{port} "
-              f"(connect node agents with `repro node --connect {host}:{port}`)",
-              file=sys.stderr)
-        started = time.perf_counter()
-        report = coordinator.serve()
-        print(render_report(report))
-        stats = report.settings_summary["distributed"]
-        print(f"\nnodes: {', '.join(stats['nodes_seen']) or 'none'}")
-        print(f"grants: {stats['grants']}, expired leases: "
-              f"{stats['expired_leases']}, stolen cells: {stats['stolen_cells']}, "
-              f"fenced frames: {stats['fenced_frames']}")
-        if args.out:
-            report.to_json(args.out)
-            print(f"\nreport written to {args.out}")
-        record = record_from_report(
-            report,
-            kind="coordinate",
-            run_id=run_id,
-            wall_seconds=time.perf_counter() - started,
-            extra={"journal": str(coordinator.journal_path)},
-        )
-        _append_ledger(args, record)
-    return 0
-
-
 def cmd_node(args: argparse.Namespace) -> int:
     """Join a distributed campaign as one node agent."""
+    from .acasxu import build_system
     from .core import run_node
     from .core.node import NodeSettings
     from .core.wire import FrameError
 
     scenario = _scenario(args.scenario)
-
-    def factory_from_config(config: dict):
-        # The system is rebuilt from the *local* scenario tables; the
-        # coordinator's welcome config supplies the pool settings.
-        from .acasxu import build_system
-
-        return lambda: build_system(scenario)
-
     try:
         outcome = run_node(
-            NodeSettings(
-                connect=args.connect,
-                node_id=args.node_id,
-                workers=args.workers,
-                heartbeat_interval=args.heartbeat_interval,
-            ),
-            factory_from_config=factory_from_config,
+            NodeSettings(connect=args.connect, node_id=args.node_id, workers=args.workers),
+            system_factory=lambda: build_system(scenario),
         )
     except (OSError, EOFError, FrameError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -982,6 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
         "merged journal and report match a single-host run",
     )
     p_verify.add_argument(
+        "--listen", default=None, metavar="HOST:PORT",
+        help="with --distributed N: fork no agents; bind HOST:PORT (port 0 "
+        "= ephemeral, printed on startup) and hold grants until N `repro "
+        "node` agents have connected",
+    )
+    p_verify.add_argument(
         "--journal", metavar="PATH",
         help="checkpoint journal path; an existing journal resumes "
         "(--distributed defaults to .repro/distributed/<run-id>.jsonl)",
@@ -994,7 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
         help="with --distributed: node silence before its shard lease "
-        "expires and the work is stolen",
+        "expires and the work is stolen (nodes heartbeat 20 times per "
+        "timeout)",
     )
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument(
@@ -1019,73 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_coord = sub.add_parser(
-        "coordinate",
-        help="host a distributed campaign: shard the partition, lease "
-        "shards to connecting node agents, steal work from lost nodes",
-    )
-    _add_scenario_argument(p_coord)
-    p_coord.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address (port 0 = ephemeral, printed on startup)",
-    )
-    p_coord.add_argument(
-        "--nodes", type=int, default=0, metavar="N",
-        help="hold all grants until N node agents have connected "
-        "(default 0 = grant as nodes arrive)",
-    )
-    p_coord.add_argument("--arcs", type=int, default=24)
-    p_coord.add_argument("--headings", type=int, default=6)
-    p_coord.add_argument("--depth", type=int, default=2,
-                         help="split-refinement depth")
-    p_coord.add_argument("--substeps", type=int, default=10,
-                         help="the paper's M")
-    p_coord.add_argument("--gamma", type=int, default=5,
-                         help="the paper's Gamma")
-    p_coord.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget, enforced on each node",
-    )
-    p_coord.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="campaign wall-clock budget; stop granting once exceeded",
-    )
-    p_coord.add_argument("--max-retries", type=int, default=1)
-    p_coord.add_argument(
-        "--journal", metavar="PATH",
-        help="checkpoint journal path (default "
-        ".repro/distributed/<run-id>.jsonl); an existing journal resumes "
-        "and restores lease epochs",
-    )
-    p_coord.add_argument(
-        "--num-shards", type=int, default=None, metavar="K",
-        help="shard count (default: sized from --nodes)",
-    )
-    p_coord.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="node silence before its shard lease expires",
-    )
-    p_coord.add_argument("--out", help="write the JSON report here")
-    p_coord.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /status.json and /metrics on 127.0.0.1:PORT",
-    )
-    p_coord.add_argument(
-        "--no-live", action="store_true",
-        help="skip the .repro/live status files and the metrics server "
-        "(the progress line stays)",
-    )
-    p_coord.add_argument(
-        "--live-interval", type=float, default=1.0, metavar="SECONDS",
-        help="status.json rewrite period",
-    )
-    p_coord.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
-    )
-    _add_obs_arguments(p_coord)
-    p_coord.set_defaults(fn=cmd_coordinate)
-
     p_node = sub.add_parser(
         "node",
         help="join a distributed campaign as a node agent (verifies "
@@ -1094,18 +972,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_argument(p_node)
     p_node.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (printed by `repro coordinate`)",
+        help="coordinator address (printed by `repro verify --listen`)",
     )
     p_node.add_argument("--workers", type=int, default=1,
                         help="local worker-pool size")
     p_node.add_argument(
         "--node-id", default=None,
         help="stable node name shown in `repro watch` (default node-<pid>)",
-    )
-    p_node.add_argument(
-        "--heartbeat-interval", type=float, default=0.5, metavar="SECONDS",
-        help="heartbeat period (keep well under the coordinator's "
-        "--lease-timeout)",
     )
     p_node.set_defaults(fn=cmd_node)
 

@@ -68,6 +68,13 @@ logger = logging.getLogger("repro.core.coordinator")
 
 #: recv size per readable socket per loop turn.
 _RECV_CHUNK = 1 << 16
+#: Event-loop poll period in seconds (lease sweeps, grant attempts).
+POLL_INTERVAL = 0.1
+#: Per-socket send/recv timeout in seconds; a peer wedged longer than
+#: this on the TCP level is treated as disconnected.
+SOCKET_TIMEOUT = 10.0
+#: Cap in seconds on the cooling-off window of a repeatedly expired shard.
+MAX_BACKOFF = 30.0
 
 
 @dataclass(frozen=True)
@@ -90,20 +97,12 @@ class DistributedSettings:
     #: Base of the exponential cooling-off window an expired shard
     #: sits out before it may be regranted.
     reassign_backoff: float = 0.5
-    max_backoff: float = 30.0
-    #: Event-loop poll period (lease sweeps, grant attempts).
-    poll_interval: float = 0.1
-    #: Per-socket send/recv timeout; a peer wedged longer than this on
-    #: the TCP level is treated as disconnected.
-    socket_timeout: float = 10.0
     #: fsync journal appends (same meaning as the checkpoint layer's).
     fsync: bool = False
 
     def __post_init__(self) -> None:
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.num_shards is not None and self.num_shards < 1:
             raise ValueError("num_shards must be >= 1 (or None)")
         if self.expected_nodes < 0:
@@ -166,6 +165,11 @@ class Coordinator:
     Single-threaded by construction — every socket, the lease table and
     the journal are touched only from :meth:`serve`'s ``selectors``
     loop, so there is no lock anywhere in the control plane.
+
+    Every node's ``welcome`` frame carries ``settings`` whole (see
+    :meth:`~repro.core.runner.RunnerSettings.to_dict`), so settings
+    holding a callable (``witness_search``, a refinement
+    ``influence_fn``) raise ``ValueError`` here, before anything binds.
     """
 
     def __init__(
@@ -196,19 +200,15 @@ class Coordinator:
             self.shards,
             lease_timeout=self.dist.lease_timeout,
             reassign_backoff=self.dist.reassign_backoff,
-            max_backoff=self.dist.max_backoff,
+            max_backoff=MAX_BACKOFF,
         )
-        #: What remote ``repro node`` agents rebuild their pool from.
-        refinement = self.settings.refinement
-        self.welcome_config = {
-            "substeps": self.settings.reach.substeps,
-            "gamma": self.settings.reach.max_symbolic_states,
-            "depth": refinement.max_depth if refinement else 0,
+        self._welcome = {
+            "type": "welcome",
+            "settings": self.settings.to_dict(),
+            "lease_timeout": self.dist.lease_timeout,
         }
-        if refinement is not None:
-            self.welcome_config["refinement_dims"] = list(refinement.dims)
-        self.welcome_config["cell_timeout"] = self.settings.cell_timeout
-        self.welcome_config["max_retries"] = self.settings.max_retries
+        #: node id -> the worker count its hello announced.
+        self.node_workers: dict[str, int] = {}
 
         #: index -> accepted result (journal-cached and streamed alike).
         self.results: dict[int, CellResult] = {}
@@ -303,7 +303,7 @@ class Coordinator:
                             outstanding_shards=self.table.outstanding(),
                         )
                         break
-                    events = self._sel.select(timeout=self.dist.poll_interval)
+                    events = self._sel.select(timeout=POLL_INTERVAL)
                     for key, _mask in events:
                         if key.data == "listener":
                             self._accept()
@@ -347,7 +347,7 @@ class Coordinator:
             sock, addr = self._listener.accept()
         except OSError:
             return
-        sock.settimeout(self.dist.socket_timeout)
+        sock.settimeout(SOCKET_TIMEOUT)
         conn = _Conn(sock, addr)
         self._conns[sock] = conn
         self._sel.register(sock, selectors.EVENT_READ, conn)
@@ -438,13 +438,14 @@ class Coordinator:
             conn.busy = False
             if node_id not in self.stats.nodes_seen:
                 self.stats.nodes_seen.append(node_id)
+            self.node_workers[node_id] = int(frame.get("workers") or 0)
             rec.event(
                 "node.connected",
                 node=node_id,
                 workers=frame.get("workers"),
                 pid=frame.get("pid"),
             )
-            self._send(conn, {"type": "welcome", "config": self.welcome_config})
+            self._send(conn, self._welcome)
             return
         if conn.node_id is None:
             logger.warning("%s: frame before hello; dropping", conn.addr)
@@ -633,7 +634,7 @@ class Coordinator:
 
 
 # ----------------------------------------------------------------------
-# The localhost topology: `verify --distributed`
+# One campaign over N node agents: `verify --distributed N [--listen]`
 # ----------------------------------------------------------------------
 def run_distributed(
     system_factory: Callable[[], object],
@@ -644,17 +645,25 @@ def run_distributed(
     nodes: int = 3,
     workers_per_node: int = 1,
     node_env: dict[str, str] | None = None,
+    remote: bool = False,
+    on_listen: Callable[[str, int], None] | None = None,
 ) -> VerificationReport:
-    """Run a distributed campaign entirely on this machine: fork
-    ``nodes`` node agents against a loopback coordinator and serve to
-    completion. The degenerate single-host case of the topology — and
-    the deterministic harness the fault drill runs against.
+    """Run one distributed campaign over ``nodes`` node agents and serve
+    it to completion.
 
-    ``node_env`` entries are set in each forked agent (the drill uses
-    it to scope ``REPRO_FAULTS`` to the nodes). The agents inherit the
-    caller's ``system_factory`` and ``settings`` through the fork, so
-    they verify with exactly the campaign's configuration.
-    ``dist.expected_nodes`` is replaced by ``nodes``.
+    By default the agents are forked on this machine against a loopback
+    coordinator, each with a pool of ``workers_per_node``: the
+    single-host case of the topology, and the deterministic harness the
+    fault drill runs against. With ``remote=True`` nothing is forked:
+    the coordinator binds ``dist.listen`` and holds its grants until
+    ``nodes`` agents (``repro node``) have said hello. Either way
+    ``on_listen(host, port)`` is called once the listener is bound,
+    and ``dist.expected_nodes`` is replaced by ``nodes``.
+
+    Every agent, forked or remote, verifies under the settings the
+    ``welcome`` frame carries. ``node_env`` entries are set in each
+    forked agent (the drill uses it to scope ``REPRO_FAULTS`` to the
+    nodes); forked agents inherit the caller's ``system_factory``.
     """
     import multiprocessing
 
@@ -662,11 +671,13 @@ def run_distributed(
     from .node import NodeSettings, run_node
 
     settings = settings or RunnerSettings()
-    # The agents are local forks that dial at once: wait for all of them
-    # before granting, and size the default shard count by them.
+    # Wait for the whole fleet before granting, and size the default
+    # shard count by it.
     dist = replace(dist or DistributedSettings(), expected_nodes=nodes)
     coordinator = Coordinator(cells, journal_path, settings=settings, dist=dist)
     host, port = coordinator.start()
+    if on_listen is not None:
+        on_listen(host, port)
 
     ctx = multiprocessing.get_context("fork")
 
@@ -683,11 +694,7 @@ def run_distributed(
             workers=workers_per_node,
         )
         try:
-            run_node(
-                node_settings,
-                system_factory=system_factory,
-                runner_settings=settings,
-            )
+            run_node(node_settings, system_factory)
         except (OSError, EOFError, FrameError) as exc:
             logger.warning("node-%d: %s", node_index, exc)
 
@@ -695,7 +702,7 @@ def run_distributed(
     # and daemonic processes may not have children.
     procs = [
         ctx.Process(target=agent_main, args=(i,), name=f"repro-node-{i}")
-        for i in range(nodes)
+        for i in range(0 if remote else nodes)
     ]
     for proc in procs:
         proc.start()
@@ -707,6 +714,11 @@ def run_distributed(
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
-    report.settings_summary["distributed"]["nodes"] = nodes
-    report.settings_summary["distributed"]["workers_per_node"] = workers_per_node
+    summary = report.settings_summary["distributed"]
+    summary["nodes"] = nodes
+    # The pool size each agent announced in its hello (the widest, if
+    # a remote fleet mixes sizes).
+    summary["workers_per_node"] = max(
+        coordinator.node_workers.values(), default=workers_per_node
+    )
     return report

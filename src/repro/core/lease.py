@@ -31,7 +31,7 @@ frame from its stale epoch is fenced.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -156,12 +156,6 @@ class LeaseTable:
     def shard(self, shard_id: str) -> Shard:
         return self._shards[shard_id].shard
 
-    def shard_ids(self) -> list[str]:
-        return list(self._shards)
-
-    def lease_of(self, shard_id: str) -> Lease | None:
-        return self._shards[shard_id].lease
-
     def node_lease(self, node_id: str) -> Lease | None:
         """The lease ``node_id`` currently holds, if any (one shard per
         node at a time — work stealing happens between shards)."""
@@ -176,9 +170,6 @@ class LeaseTable:
 
     def epoch(self, shard_id: str) -> int:
         return self._shards[shard_id].epoch
-
-    def expiries(self, shard_id: str) -> int:
-        return self._shards[shard_id].expiries
 
     def last_failed_node(self, shard_id: str) -> str | None:
         """The node whose lease on ``shard_id`` last expired — the one
@@ -209,15 +200,6 @@ class LeaseTable:
             if not state.complete
             and state.lease is None
             and now >= state.available_at
-        ]
-
-    def cooling(self, now: float) -> list[str]:
-        """Unleased, incomplete shards still inside a backoff window —
-        work that exists but must not be handed out yet."""
-        return [
-            sid
-            for sid, state in sorted(self._shards.items())
-            if not state.complete and state.lease is None and now < state.available_at
         ]
 
     def grant(self, shard_id: str, node_id: str, now: float) -> Lease:
@@ -317,34 +299,3 @@ class LeaseTable:
         increasing or fencing would readmit pre-crash zombies."""
         state = self._shards[shard_id]
         state.epoch = max(state.epoch, epoch)
-
-    # -- summaries -----------------------------------------------------
-    def to_dict(self, now: float) -> dict:
-        """Telemetry view of the whole table."""
-        shards = {}
-        for sid, state in sorted(self._shards.items()):
-            lease = state.lease
-            shards[sid] = {
-                "cells": len(state.shard.indices),
-                "epoch": state.epoch,
-                "expiries": state.expiries,
-                "complete": state.complete,
-                "node": lease.node_id if lease else None,
-                "lease_age": round(now - lease.granted_at, 3) if lease else None,
-                "cooling_for": (
-                    round(state.available_at - now, 3)
-                    if state.lease is None
-                    and not state.complete
-                    and now < state.available_at
-                    else None
-                ),
-                "last_expiry_reason": state.last_expiry_reason,
-            }
-        return shards
-
-
-# Backward-compatible re-export target for the shard field name used in
-# journal lines; kept here so checkpoint.py does not import coordinator.
-JOURNAL_SHARD_FIELD = "shard"
-JOURNAL_EPOCH_FIELD = "epoch"
-JOURNAL_LEASE_FIELD = "lease"

@@ -8,13 +8,18 @@ retry/quarantine, per-cell budgets and deadline draining compose
 unchanged underneath — and all scheduling intelligence lives in the
 coordinator (:mod:`repro.core.coordinator`). The agent's whole job is:
 
-1. connect and say ``hello`` (node id, worker count);
+1. connect and say ``hello`` (node id, worker count); the ``welcome``
+   answer carries the campaign's whole
+   :class:`~repro.core.runner.RunnerSettings` (see
+   :meth:`~repro.core.runner.RunnerSettings.to_dict`) and its lease
+   timeout, so every agent verifies under the coordinator's settings;
 2. for each ``grant`` frame, verify the shard's cells on the local
    pool, streaming one ``result`` frame per finished cell (a pool of
    one worker verifies the whole grant as one chunk: the shard's cells
    and all their refinement children share lockstep waves);
-3. keep a heartbeat thread talking so the coordinator can tell
-   "slow" from "dead" (the payload reuses the
+3. keep a heartbeat thread talking, ``HEARTBEATS_PER_LEASE`` beats
+   per lease timeout, so the coordinator can tell "slow" from "dead"
+   (the payload reuses the
    :class:`~repro.obs.live.HeartbeatReporter` shape that single-host
    live telemetry already emits for workers);
 4. say ``shard_done`` and wait for the next grant or ``shutdown``.
@@ -40,16 +45,24 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..intervals import Box
 from ..obs.live import HeartbeatReporter
 from ..testing.faults import CRASH_EXIT_CODE, get_fault_injector
 from .result import CellResult
+from .runner import RunnerSettings
 from .wire import FrameError, parse_hostport, recv_frame, send_frame
 
 logger = logging.getLogger("repro.core.node")
+
+#: Heartbeats per coordinator lease timeout: at the default 10 s lease a
+#: node beats every 0.5 s, so a lease survives many lost beats.
+HEARTBEATS_PER_LEASE = 20
+#: Seconds to keep retrying the initial TCP connect (the coordinator may
+#: still be binding when nodes launch).
+DIAL_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -63,12 +76,6 @@ class NodeSettings:
     node_id: str | None = None
     #: Size of the local supervised pool.
     workers: int = 1
-    #: Heartbeat period in seconds. Must be well under the
-    #: coordinator's lease timeout or healthy nodes get expired.
-    heartbeat_interval: float = 0.5
-    #: How long to keep retrying the initial TCP connect (the
-    #: coordinator may still be binding when nodes launch).
-    dial_timeout: float = 10.0
 
     def resolved_node_id(self) -> str:
         return self.node_id or f"node-{os.getpid()}"
@@ -84,8 +91,9 @@ class NodeOutcome:
     #: Fence frames the coordinator sent us (stale-epoch work of ours
     #: it discarded). Nonzero after surviving a netsplit.
     fenced: int = 0
-    #: The coordinator's campaign config from the welcome frame.
-    config: dict = field(default_factory=dict)
+    #: The pool settings the agent verified under: the campaign's, from
+    #: the welcome frame, with this node's worker count and no deadline.
+    settings: RunnerSettings | None = None
 
 
 class _Sender:
@@ -123,11 +131,11 @@ class _Sender:
 
 def _connect(settings: NodeSettings) -> socket.socket:
     host, port = parse_hostport(settings.connect)
-    deadline = time.monotonic() + settings.dial_timeout
+    deadline = time.monotonic() + DIAL_TIMEOUT
     delay = 0.05
     while True:
         try:
-            return socket.create_connection((host, port), timeout=settings.dial_timeout)
+            return socket.create_connection((host, port), timeout=DIAL_TIMEOUT)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
@@ -151,27 +159,18 @@ def _grant_tasks(cells: list[dict]) -> list[tuple]:
 
 
 def run_node(
-    settings: NodeSettings,
-    system_factory: Callable[[], object] | None = None,
-    factory_from_config: Callable[[dict], Callable[[], object]] | None = None,
-    runner_settings=None,
+    settings: NodeSettings, system_factory: Callable[[], object]
 ) -> NodeOutcome:
     """Run one node agent until the coordinator says ``shutdown``.
 
-    The closed-loop system comes either from ``system_factory``
-    (programmatic use — the localhost ``run_distributed`` helper forks
-    agents that close over the caller's factory) or from
-    ``factory_from_config``, called with the coordinator's welcome
-    config (the CLI path, where a bare ``repro node`` must build the
-    same scenario the coordinator is verifying). ``runner_settings``,
-    when given, overrides the welcome-config-derived pool settings —
-    the localhost helper passes the campaign's exact
-    :class:`~repro.core.runner.RunnerSettings` through the fork, so
-    settings parity with single-host is by construction, not by
-    serialization fidelity.
+    ``system_factory`` builds the closed-loop system in each pool
+    worker. Everything else about the verification comes from the
+    coordinator's ``welcome`` frame: the pool runs the campaign's own
+    :class:`~repro.core.runner.RunnerSettings`, except that ``workers``
+    is this node's and ``deadline`` is None (the coordinator keeps the
+    campaign deadline and stops granting when it expires). Forked
+    loopback agents and remote ``repro node`` agents take this one path.
     """
-    if (system_factory is None) == (factory_from_config is None):
-        raise ValueError("pass exactly one of system_factory / factory_from_config")
     injector = get_fault_injector()
     if injector is not None:
         delay = injector.node_slowjoin_seconds()
@@ -194,12 +193,11 @@ def run_node(
     welcome = recv_frame(sock)
     if welcome.get("type") != "welcome":
         raise FrameError(f"expected welcome, got {welcome.get('type')!r}")
-    outcome.config = dict(welcome.get("config") or {})
-    if system_factory is None:
-        assert factory_from_config is not None
-        system_factory = factory_from_config(outcome.config)
-
-    pool_settings = _pool_settings(outcome.config, settings.workers, runner_settings)
+    pool_settings = outcome.settings = replace(
+        RunnerSettings.from_dict(welcome["settings"]),
+        workers=settings.workers,
+        deadline=None,
+    )
 
     # One heartbeat thread for the agent's lifetime; the shard/epoch it
     # stamps onto each beat tracks the current grant.
@@ -214,7 +212,7 @@ def run_node(
                 "payload": payload,
             }
         ),
-        settings.heartbeat_interval,
+        float(welcome["lease_timeout"]) / HEARTBEATS_PER_LEASE,
     ).start()
 
     try:
@@ -299,40 +297,3 @@ def run_node(
         reporter.stop()
         sock.close()
     return outcome
-
-
-def _pool_settings(config: dict, workers: int, runner_settings=None):
-    """The node's pool settings: the campaign's own ``runner_settings``
-    when given, else rebuilt from the coordinator's welcome config,
-    with the node's worker count either way. The campaign deadline
-    stays with the coordinator, which stops granting when it expires."""
-    from .runner import RunnerSettings  # local import: runner imports obs at load
-
-    if runner_settings is not None:
-        return replace(runner_settings, workers=workers, deadline=None)
-    return RunnerSettings(
-        reach=_reach_from_config(config),
-        refinement=_refinement_from_config(config),
-        workers=workers,
-        cell_timeout=config.get("cell_timeout"),
-        max_retries=int(config.get("max_retries", 1)),
-    )
-
-
-def _reach_from_config(config: dict):
-    from .reach import ReachSettings
-
-    return ReachSettings(
-        substeps=int(config.get("substeps", 10)),
-        max_symbolic_states=int(config.get("gamma", 5)),
-    )
-
-
-def _refinement_from_config(config: dict):
-    from .partition import RefinementPolicy
-
-    depth = int(config.get("depth", 0))
-    if depth <= 0:
-        return None
-    dims = tuple(config.get("refinement_dims") or (0, 1, 2))
-    return RefinementPolicy(dims=dims, max_depth=depth)

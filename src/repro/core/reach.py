@@ -291,12 +291,7 @@ def reach_many(
                         )
                     if not disjoint_all[k, row]:
                         cell.unsafe_found = True
-                        rec.event(
-                            "reach.unsafe",
-                            step=j,
-                            t=float(pipes.t_starts[k]),
-                            command=state.command,
-                        )
+                        rec.inc("reach.unsafe_substeps")
                         if result.unsafe_time is None:
                             result.unsafe_time = float(pipes.t_starts[k])
                             result.unsafe_command = state.command

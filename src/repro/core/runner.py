@@ -23,7 +23,7 @@ import os
 import time
 from collections import deque
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -114,6 +114,32 @@ class RunnerSettings:
             raise ValueError("retry_backoff must be >= 0")
         if self.witness_timeout is not None and self.witness_timeout <= 0:
             raise ValueError("witness_timeout must be positive (or None)")
+
+    def to_dict(self) -> dict:
+        """The settings as JSON: what a coordinator's ``welcome`` frame
+        carries to every node agent (:meth:`from_dict` reads it back).
+        A callable cannot cross a socket, so settings holding a
+        ``witness_search`` or a refinement ``influence_fn`` raise
+        ``ValueError``."""
+        refinement = self.refinement
+        for name, value in (
+            ("witness_search", self.witness_search),
+            ("refinement.influence_fn", refinement and refinement.influence_fn),
+        ):
+            if value is not None:
+                raise ValueError(f"{name} is a callable and cannot be sent to node agents")
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RunnerSettings":
+        """Inverse of :meth:`to_dict`."""
+        payload = dict(payload)
+        refinement = payload.pop("refinement")
+        if refinement is not None:
+            refinement = RefinementPolicy(**{**refinement, "dims": tuple(refinement["dims"])})
+        return cls(
+            reach=ReachSettings(**payload.pop("reach")), refinement=refinement, **payload
+        )
 
 
 def _search_witness(

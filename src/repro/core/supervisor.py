@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
+from ..obs import Recorder, get_recorder, set_recorder, worker_trace_path
 from ..obs.live import HeartbeatReporter
 from ..testing.faults import get_fault_injector
 from .reach import Verdict
@@ -522,17 +522,17 @@ def _terminate(proc: multiprocessing.Process) -> None:
 
 
 def merge_worker_traces(rec) -> None:
-    """Fold per-worker trace files into the parent trace, globally
-    ordered by timestamp. Safe to call when tracing is off."""
+    """Fold per-worker trace files into the parent trace, the parent's
+    own lines included, globally ordered by timestamp. Safe to call
+    when tracing is off."""
     parent = getattr(rec, "trace_path", None)
     if not (rec.enabled and parent):
         return
-    rec.flush()
     parent_path = Path(parent)
     worker_files = sorted(parent_path.parent.glob(f"{parent_path.stem}.worker-*.jsonl"))
     if not worker_files:
         return
-    merged = merge_traces(parent_path, worker_files, delete_sources=True)
+    merged = rec.merge_trace(worker_files)
     rec.event("trace.merged", workers=len(worker_files), events=merged)
     rec.flush()
 

@@ -41,9 +41,10 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, Sequence
 
 from .metrics import MetricsRegistry
+from .trace import merge_traces
 
 logger = logging.getLogger("repro.obs")
 
@@ -166,12 +167,13 @@ class Recorder(NullRecorder):
     ) -> None:
         self.metrics.observe(f"{name}.seconds", duration)
         if self._sink is not None:
-            event = {"ts": time.time(), "kind": "span", "name": name, "dur": duration}
-            if exc_type is not None:
-                event["error"] = exc_type.__name__
-            if fields:
-                event.update(fields)
+            # Stamped under the lock, so each trace file is time-ordered.
             with self._lock:
+                event = {"ts": time.time(), "kind": "span", "name": name, "dur": duration}
+                if exc_type is not None:
+                    event["error"] = exc_type.__name__
+                if fields:
+                    event.update(fields)
                 self._write(event)
 
     def event(self, name: str, **fields) -> None:
@@ -180,9 +182,9 @@ class Recorder(NullRecorder):
         logger.debug("event %s %s", name, fields)
         if self._sink is None and not self._subscribers:
             return
-        event = {"ts": time.time(), "kind": "event", "name": name}
-        event.update(fields)
         with self._lock:
+            event = {"ts": time.time(), "kind": "event", "name": name}
+            event.update(fields)
             self._write(event)
             for fn in list(self._subscribers):
                 try:
@@ -209,6 +211,27 @@ class Recorder(NullRecorder):
         with self._lock:
             if fn in self._subscribers:
                 self._subscribers.remove(fn)
+
+    def merge_trace(self, sources: Sequence[str | Path]) -> int:
+        """Fold ``sources`` (other processes' trace files) into this
+        recorder's trace so that every line, its own included, is in
+        timestamp order; delete the sources and return the line count.
+        Under the lock, the merged file atomically replaces the trace and
+        the append handle is reopened on it, so later lines follow the
+        merge in the same file."""
+        with self._lock:
+            if self._sink is None:
+                return 0
+            self._sink.flush()
+            staging = self.trace_path.with_name(self.trace_path.name + ".merging")
+            staging.unlink(missing_ok=True)
+            count = merge_traces(staging, [self.trace_path, *sources])
+            os.replace(staging, self.trace_path)
+            self._sink.close()
+            self._sink = open(self.trace_path, "a")
+        for source in sources:
+            Path(source).unlink(missing_ok=True)
+        return count
 
     # -- metrics passthrough -------------------------------------------
     def inc(self, name: str, value: float = 1.0) -> None:

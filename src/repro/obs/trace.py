@@ -72,9 +72,8 @@ def merge_traces(
 
     Each source is assumed internally time-ordered (true for files
     appended by one process), so a k-way heap merge suffices. Returns
-    the number of events merged. Used by
-    :func:`repro.core.runner.verify_partition` to fold per-worker files
-    back into the parent's trace.
+    the number of events merged. :meth:`repro.obs.Recorder.merge_trace`
+    uses it to fold per-worker files back into the parent's trace.
     """
     sources = [Path(s) for s in sources]
     streams = [read_trace(s) for s in sources]

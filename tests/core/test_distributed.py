@@ -205,28 +205,124 @@ class TestNodeLossDrill:
 
 
 class TestNodePoolSettings:
-    def test_every_campaign_field_reaches_the_node_pool(self):
-        """A node's pool runs with the campaign's own settings; only the
-        worker count (the node's) and the deadline (the coordinator's)
-        differ, so a new RunnerSettings field cannot be lost on nodes."""
-        from dataclasses import fields
+    def test_every_campaign_field_reaches_the_node_pool(self, tmp_path):
+        """`verify --distributed 2 --listen` with two remote agents: each
+        node's pool runs the campaign's own settings except `workers`
+        (the node's) and `deadline` (the coordinator's), and the
+        campaign gets the same ledger record and summary label as a
+        forked one."""
+        import os
+        import subprocess
+        import sys
+        import threading
+        from dataclasses import replace
 
-        from repro.core import RefinementPolicy
-        from repro.core.node import _pool_settings
+        import repro
+        from repro.core import RefinementPolicy, run_node
+        from repro.core.node import NodeSettings
+        from repro.obs import latest_run
+
+        ledger = tmp_path / "ledger"
+        log = tmp_path / "coordinator.log"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        argv = [
+            sys.executable, "-m", "repro", "verify", "--scenario", "tiny",
+            "--arcs", "3", "--headings", "2", "--depth", "2", "--substeps", "7",
+            "--gamma", "3", "--max-retries", "2", "--workers", "3",
+            "--deadline", "600", "--distributed", "2",
+            "--listen", "127.0.0.1:0", "--no-live", "--ledger-dir", str(ledger),
+            "--journal", str(tmp_path / "journal.jsonl"),
+        ]
+        with open(log, "w") as stderr:
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=stderr, text=True, env=env
+            )
+        try:
+            address = None
+            for _ in range(300):
+                for line in log.read_text().splitlines():
+                    if line.startswith("coordinator listening on "):
+                        address = line.split()[3]
+                if address or proc.poll() is not None:
+                    break
+                time.sleep(0.1)
+            assert address, log.read_text()
+
+            def build():
+                from repro.acasxu import TINY_SCENARIO, build_system
+
+                return build_system(TINY_SCENARIO)
+
+            outcomes = []
+            agents = [
+                threading.Thread(
+                    target=lambda i=i: outcomes.append(
+                        run_node(NodeSettings(address, f"remote-{i}"), build)
+                    )
+                )
+                for i in range(2)
+            ]
+            for agent in agents:
+                agent.start()
+            for agent in agents:
+                agent.join(timeout=120)
+            stdout, _ = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0, log.read_text()
 
         campaign = RunnerSettings(
-            reach=REACH,
-            refinement=RefinementPolicy(dims=(0,), max_depth=2),
+            reach=ReachSettings(substeps=7, max_symbolic_states=3),
+            refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=2),
+            workers=3,
+            deadline=600.0,
+            max_retries=2,
+        )
+        assert len(outcomes) == 2
+        assert sum(outcome.cells_computed for outcome in outcomes) == 6
+        for outcome in outcomes:
+            pool = outcome.settings
+            assert (pool.workers, pool.deadline) == (1, None)
+            assert replace(pool, workers=3, deadline=600.0) == campaign
+
+        assert "wall time:" in stdout and "(2 nodes x 1 workers)" in stdout
+        record = latest_run(ledger)
+        assert record.kind == "verify"
+        assert record.config["substeps"] == 7
+        assert record.config["max_retries"] == 2
+        assert sorted(record.nodes) == ["remote-0", "remote-1"]
+
+
+class TestSettingsOverTheWire:
+    def test_callable_settings_are_rejected(self, tmp_path):
+        """Callables cannot reach a node agent, so the coordinator
+        refuses them up front rather than letting agents drop them."""
+        from repro.core import Coordinator, RefinementPolicy
+
+        witness = RunnerSettings(witness_search=lambda system, box, command: None)
+        with pytest.raises(ValueError, match="witness_search"):
+            Coordinator(campaign_cells(), tmp_path / "journal.jsonl", settings=witness)
+        influence = RunnerSettings(
+            refinement=RefinementPolicy(
+                dims=(0,), mode="influence", influence_fn=lambda box: [1.0]
+            )
+        )
+        with pytest.raises(ValueError, match="influence_fn"):
+            Coordinator(campaign_cells(), tmp_path / "journal.jsonl", settings=influence)
+
+    def test_settings_round_trip_through_the_codec(self):
+        from repro.core import RefinementPolicy
+
+        settings = RunnerSettings(
+            reach=ReachSettings(substeps=7, max_symbolic_states=3, early_exit_on_unsafe=False),
+            refinement=RefinementPolicy(dims=(0, 2), max_depth=3, mode="influence"),
             workers=4,
-            witness_search=lambda system, box, command: None,
             cell_timeout=7.0,
             deadline=60.0,
             max_retries=3,
             retry_backoff=0.5,
             witness_timeout=2.0,
         )
-        pool = _pool_settings({}, 1, campaign)
-        assert (pool.workers, pool.deadline) == (1, None)
-        for field in fields(RunnerSettings):
-            if field.name not in ("workers", "deadline"):
-                assert getattr(pool, field.name) == getattr(campaign, field.name), field.name
+        wire = json.loads(json.dumps(settings.to_dict()))
+        assert RunnerSettings.from_dict(wire) == settings

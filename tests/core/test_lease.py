@@ -94,7 +94,7 @@ class TestExpiryAndBackoff:
         t = table(reassign_backoff=1.0)
         t.grant("shard-0", "node-a", now=0.0)
         t.expire("shard-0", now=5.0)
-        assert "shard-0" in t.cooling(5.5)
+        assert t.node_lease("node-a") is None
         assert "shard-0" not in t.claimable(5.5)
         with pytest.raises(ValueError, match="cooling"):
             t.grant("shard-0", "node-b", now=5.5)
@@ -110,14 +110,27 @@ class TestExpiryAndBackoff:
             assert "shard-0" in t.claimable(now + expected)
             now += 100.0
 
+    def test_expiry_frees_the_node_keeps_the_epoch_and_cools(self):
+        t = table()
+        t.grant("shard-0", "node-a", now=10.0)
+        t.grant("shard-1", "node-b", now=10.0)
+        t.expire("shard-1", now=12.0, reason="disconnect")
+        assert t.node_lease("node-a").shard_id == "shard-0"
+        assert t.node_lease("node-b") is None
+        assert (t.epoch("shard-0"), t.epoch("shard-1"), t.epoch("shard-2")) == (1, 1, 0)
+        # One expiry: shard-1 sits out reassign_backoff (1 s) first.
+        assert t.claimable(12.5) == ["shard-2"]
+        assert t.claimable(13.0) == ["shard-1", "shard-2"]
+
     def test_expire_node_tears_down_all_its_leases(self):
         t = table()
         t.grant("shard-0", "node-a", now=0.0)
         t.grant("shard-1", "node-b", now=0.0)
         expired = t.expire_node("node-a", now=1.0, reason="disconnect")
         assert [lease.shard_id for lease in expired] == ["shard-0"]
-        assert t.lease_of("shard-0") is None
-        assert t.lease_of("shard-1") is not None
+        assert t.node_lease("node-a") is None
+        assert t.node_lease("node-b").shard_id == "shard-1"
+        assert t.claimable(1.0) == ["shard-2"]
 
 
 class TestEpochFencing:
@@ -166,18 +179,3 @@ class TestEpochFencing:
         t.expire("shard-0", now=0.0)
         t.restore_epoch("shard-0", 0)
         assert t.epoch("shard-0") == 1
-
-
-class TestTelemetryView:
-    def test_to_dict_reports_lease_state(self):
-        t = table()
-        t.grant("shard-0", "node-a", now=10.0)
-        t.grant("shard-1", "node-b", now=10.0)
-        t.expire("shard-1", now=12.0, reason="disconnect")
-        view = t.to_dict(now=12.5)
-        assert view["shard-0"]["node"] == "node-a"
-        assert view["shard-0"]["lease_age"] == pytest.approx(2.5)
-        assert view["shard-1"]["node"] is None
-        assert view["shard-1"]["last_expiry_reason"] == "disconnect"
-        assert view["shard-1"]["cooling_for"] == pytest.approx(0.5)
-        assert view["shard-2"]["epoch"] == 0

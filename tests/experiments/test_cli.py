@@ -86,6 +86,23 @@ class TestCommands:
         assert "checkpoint.cells_verified" not in metrics["counters"]
         assert journal.read_bytes() == written
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--distributed", "--listen", "127.0.0.1:0"],
+            ["--distributed", "auto", "--listen", "127.0.0.1:0"],
+            ["--distributed", "0", "--listen", "127.0.0.1:0"],
+            ["--listen", "127.0.0.1:0"],
+        ],
+    )
+    def test_verify_listen_needs_a_node_count(self, extra, capsys):
+        assert main(["verify", "--arcs", "2", "--headings", "1", *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_coordinate_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["coordinate"])
+
     def test_falsify_small(self, capsys):
         assert (
             main(["falsify", "--population", "8", "--generations", "2"]) == 0

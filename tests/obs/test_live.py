@@ -646,6 +646,46 @@ class TestOneEventStream:
         assert any(e["name"] == "worker.heartbeat" for e in events)
         assert [e["name"] for e in events].count("campaign.finished") == 1
 
+    def test_merged_pool_trace_is_in_timestamp_order(self, tmp_path):
+        """The parent's own lines are merged with the workers', so no
+        `cell.finished` comes before the `worker.start` it depends on."""
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace)
+        with use_recorder(rec):
+            verify_partition(make_system, cells(4), RunnerSettings(workers=2))
+        rec.close()
+        lines = list(read_trace(trace))
+        stamps = [line["ts"] for line in lines]
+        assert stamps == sorted(stamps)
+        assert lines[-1]["name"] == "campaign.finished"
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
+
+    def test_unsafe_substeps_are_counted_not_published(self):
+        """An unsafe cell moves the `reach.unsafe_substeps` counter, the
+        same in serial and pooled runs, and sends subscribers nothing
+        per substep."""
+        from ..core.fixtures import runaway_network
+
+        def unsafe_system():
+            return make_system(network=runaway_network(), target="none")
+
+        # Command 0 pushes s up, and the runaway controller keeps it
+        # going, so every cell reaches the erroneous set s >= 5.
+        unsafe_cells = [(box, 0, tags) for box, _command, tags in cells(4)]
+        counts = []
+        for workers in (1, 2):
+            rec = Recorder()
+            names = []
+            rec.subscribe(lambda event: names.append(event["name"]))
+            with use_recorder(rec):
+                report = verify_partition(
+                    unsafe_system, unsafe_cells, RunnerSettings(workers=workers)
+                )
+            assert report.verdict_counts()["unproved"] == 4
+            assert "reach.unsafe" not in names
+            counts.append(report.metrics["counters"]["reach.unsafe_substeps"])
+        assert counts[0] == counts[1] > 0
+
 
 # ----------------------------------------------------------------------
 # Distributed campaigns: node panel
